@@ -1,5 +1,5 @@
 //! Serving-path benchmark: direct per-thread-predictor single queries
-//! against the `Service` front door's micro-batched single queries, plus
+//! against the `Service` front door's single queries, plus
 //! the batched client entry point. The multi-thread snapshot equivalent is
 //! recorded in `BENCH_serve.json` by `bench_snapshot`.
 
@@ -19,12 +19,12 @@ fn bench_serve(c: &mut Criterion) {
         b.iter(|| black_box(predictor.predict_one(&w.state, 6.0, &w.props)))
     });
 
-    // The front door: same single query through submit → serving loop →
-    // batched forward → slot delivery.
+    // The front door: the same single query through admission, panic
+    // isolation and the counters, on this thread's predictor.
     let service = Service::builder().build().expect("in-memory service");
     let client = service.client_for_state(Arc::clone(&w.state));
-    group.bench_function("microbatched_single_query", |b| {
-        b.iter(|| black_box(client.predict(6.0, &w.props).expect("service is live")))
+    group.bench_function("service_single_query", |b| {
+        b.iter(|| black_box(client.predict(6.0, &w.props).expect("admitted")))
     });
 
     // The batched client entry point on the standard 64-query sweep.

@@ -20,8 +20,8 @@
 //! shared-snapshot predict throughput at 1/2/4 threads.
 //!
 //! Serve: per-query latency and queries/s of single-query serving at
-//! 1/2/4 submitting threads — direct per-thread predictor vs the
-//! `Service` front door's cross-caller micro-batcher.
+//! 2/4/8 submitting threads — direct per-thread predictor vs the
+//! `Service` front door's client.
 
 use bellamy_linalg::kernels::{self, KernelTable};
 use bench::train_step::{workload, EpochRunner, StepImpl};
@@ -241,35 +241,28 @@ fn snapshot_serve(path: &str) {
     let mut entries = Vec::new();
     for row in &r.rows {
         eprintln!(
-            "{:<26} {:9.2} us/query (p50 {:.1} p99 {:.1}) {:9.0} q/s (mean batch {:.1})",
+            "{:<26} {:9.2} us/query (p50 {:.1} p99 {:.1}) {:9.0} q/s",
             format!("{}_{}_threads", row.mode, row.threads),
             row.us_per_query,
             row.p50_us,
             row.p99_us,
             row.qps,
-            row.mean_batch
         );
         entries.push(format!(
             "    {{\"mode\": \"{}\", \"threads\": {}, \"us_per_query\": {:.2}, \
              \"p50_us\": {:.2}, \"p99_us\": {:.2}, \
-             \"queries_per_second\": {:.0}, \"mean_batch\": {:.2}}}",
-            row.mode,
-            row.threads,
-            row.us_per_query,
-            row.p50_us,
-            row.p99_us,
-            row.qps,
-            row.mean_batch
+             \"queries_per_second\": {:.0}}}",
+            row.mode, row.threads, row.us_per_query, row.p50_us, row.p99_us, row.qps,
         ));
     }
-    let speedup_4t = r
+    let ratio_4t = r
         .qps_pair(4)
-        .map(|(direct, batched)| batched / direct)
+        .map(|(direct, service)| service / direct)
         .unwrap_or(f64::NAN);
-    eprintln!("{:<26} {speedup_4t:9.2}x", "microbatched_vs_direct_4t");
+    eprintln!("{:<26} {ratio_4t:9.2}x", "service_vs_direct_4t");
     eprintln!(
-        "{:<26} shed {} deadline_expired {} panics {} restarts {}",
-        "robustness_counters", r.shed, r.deadline_expired, r.panics, r.restarts
+        "{:<26} shed {} deadline_expired {} panics {}",
+        "robustness_counters", r.shed, r.deadline_expired, r.panics
     );
     let overhead = serve::measure_telemetry_overhead();
     eprintln!(
@@ -282,11 +275,10 @@ fn snapshot_serve(path: &str) {
     let json = format!(
         "{{\n  \"benchmark\": \"serve\",\n  \"workload\": \"single-query serving of one \
          pre-trained SGD model, {} queries/thread, direct per-thread Predictor vs \
-         cross-caller micro-batched Service client\",\n  \
+         Service client\",\n  \
          \"kernel_backend\": \"{}\",\n  {},\n  \
-         \"microbatched_vs_direct_qps_at_4_threads\": {speedup_4t:.2},\n  \
-         \"robustness\": {{\"shed\": {}, \"deadline_expired\": {}, \"panics\": {}, \
-         \"restarts\": {}}},\n  \
+         \"service_vs_direct_qps_at_4_threads\": {ratio_4t:.2},\n  \
+         \"robustness\": {{\"shed\": {}, \"deadline_expired\": {}, \"panics\": {}}},\n  \
          \"telemetry_overhead\": {{\"uninstrumented_us_per_query\": {:.2}, \
          \"instrumented_us_per_query\": {:.2}, \"overhead_pct\": {:.2}}},\n  \
          \"results\": [\n{}\n  ]\n}}\n",
@@ -296,7 +288,6 @@ fn snapshot_serve(path: &str) {
         r.shed,
         r.deadline_expired,
         r.panics,
-        r.restarts,
         overhead.uninstrumented_us,
         overhead.instrumented_us,
         overhead.overhead_pct,

@@ -1,21 +1,20 @@
 //! Serving benchmark harness for `bench_snapshot` and `benches/serve.rs`:
 //! per-query latency (mean, p50, p99) and total throughput of single-query
-//! serving at 1/2/4 submitting threads, comparing the direct
-//! per-thread-predictor path against the cross-caller micro-batched
-//! [`Service`] path.
+//! serving at 2/4/8 closed-loop submitting threads, comparing the direct
+//! per-thread-predictor path against the [`Service`] client path.
 //!
-//! Direct serving is the per-thread optimum (no handoffs, no locks);
-//! micro-batching pays two condvar handoffs per query to amortize graph
-//! setup across callers. On one core the two roughly tie; with real
-//! parallelism the batcher wins because concurrent callers' queries
-//! coalesce into one forward pass. The tail percentiles are what the
-//! robustness layer watches: shedding and deadline budgets are tuned
-//! against p99, not the mean. The batcher's robustness counters (shed /
-//! panics / restarts) ride along in the result — all zero in a healthy
-//! run, so any non-zero value in a snapshot is itself a regression signal.
+//! Direct serving is the per-thread optimum (no admission, no counters).
+//! The service runs the same `predict_one` on the caller's thread and adds
+//! an admission `fetch_add`, `catch_unwind`, the counters and the sampled
+//! latency timing, so its ratio to direct is the front door's overhead.
+//! The tail percentiles are what the robustness layer watches: shedding is
+//! tuned against p99, not the mean. The service's robustness counters
+//! (shed / deadline / panics) ride along in the result — all zero in a
+//! healthy run, so any non-zero value in a snapshot is itself a regression
+//! signal.
 
-use crate::predict::{workload, PredictWorkload};
-use bellamy_core::{BatcherStats, Predictor, Service};
+use crate::predict::workload;
+use bellamy_core::{Predictor, Service};
 use bellamy_telemetry::nearest_rank;
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,10 +22,16 @@ use std::time::Instant;
 /// Queries each submitting thread issues per measurement.
 pub const QUERIES_PER_THREAD: usize = 2000;
 
+/// Warm-up queries each thread issues before its timed queries.
+const WARMUP_PER_THREAD: usize = 200;
+
+/// Submitting-thread counts of one run.
+pub const THREADS: [usize; 3] = [2, 4, 8];
+
 /// One (mode, thread-count) measurement.
 #[derive(Debug, Clone)]
 pub struct ServeBenchRow {
-    /// `"direct"` or `"microbatched"`.
+    /// `"direct"` or `"service"`.
     pub mode: &'static str,
     /// Submitting threads.
     pub threads: usize,
@@ -38,29 +43,25 @@ pub struct ServeBenchRow {
     pub p99_us: f64,
     /// Total queries per second across all threads.
     pub qps: f64,
-    /// Mean queries per flushed batch (1.0 for direct serving).
-    pub mean_batch: f64,
 }
 
 /// All rows of one serving benchmark run.
 pub struct ServeBenchResult {
-    /// Measurements for both modes at 1/2/4 threads.
+    /// Measurements for both modes at each of [`THREADS`].
     pub rows: Vec<ServeBenchRow>,
-    /// Robustness counters summed over the micro-batched runs: queries
-    /// shed at admission, deadline revocations, absorbed forward-pass
-    /// panics, and supervisor loop restarts. A healthy benchmark records
-    /// zeros; anything else is a regression worth investigating.
+    /// Robustness counters summed over the service runs: queries shed at
+    /// admission, expired deadline budgets and caught forward-pass panics.
+    /// A healthy benchmark records zeros; anything else is a regression
+    /// worth investigating.
     pub shed: u64,
     /// See [`ServeBenchResult::shed`].
     pub deadline_expired: u64,
     /// See [`ServeBenchResult::shed`].
     pub panics: u64,
-    /// See [`ServeBenchResult::shed`].
-    pub restarts: u64,
 }
 
 impl ServeBenchResult {
-    /// The `(direct, microbatched)` qps pair at `threads`.
+    /// The `(direct, service)` qps pair at `threads`.
     pub fn qps_pair(&self, threads: usize) -> Option<(f64, f64)> {
         let find = |mode: &str| {
             self.rows
@@ -68,61 +69,71 @@ impl ServeBenchResult {
                 .find(|r| r.mode == mode && r.threads == threads)
                 .map(|r| r.qps)
         };
-        Some((find("direct")?, find("microbatched")?))
+        Some((find("direct")?, find("service")?))
     }
 }
 
 /// Runs the serving benchmark on the standard pre-trained SGD workload.
 pub fn run() -> ServeBenchResult {
     let w = workload();
+    let props = &w.props;
     let mut rows = Vec::new();
-    let mut counters = BatcherStats::default();
-    for &threads in &[1usize, 2, 4] {
-        rows.push(run_direct(&w, threads));
-        let (row, stats) = run_microbatched(&w, threads);
-        rows.push(row);
-        counters.shed += stats.shed;
-        counters.deadline_expired += stats.deadline_expired;
-        counters.panics += stats.panics;
-        counters.restarts += stats.restarts;
+    let (mut shed, mut deadline_expired, mut panics) = (0, 0, 0);
+    for threads in THREADS {
+        // Direct serving: each thread owns a `Predictor` and queries the
+        // shared snapshot one call at a time.
+        rows.push(measure("direct", threads, || {
+            let state = Arc::clone(&w.state);
+            let mut predictor = Predictor::new();
+            move |x| predictor.predict_one(&state, x, props)
+        }));
+        // Service serving: every thread predicts through a clone of one
+        // client, sharing its admission window and counters.
+        let service = Service::builder().build().expect("in-memory service");
+        let client = service.client_for_state(Arc::clone(&w.state));
+        rows.push(measure("service", threads, || {
+            let client = client.clone();
+            move |x| client.predict(x, props).expect("admitted")
+        }));
+        let stats = client.batcher_stats();
+        shed += stats.shed;
+        deadline_expired += stats.deadline_expired;
+        panics += stats.panics;
     }
     ServeBenchResult {
         rows,
-        shed: counters.shed,
-        deadline_expired: counters.deadline_expired,
-        panics: counters.panics,
-        restarts: counters.restarts,
+        shed,
+        deadline_expired,
+        panics,
     }
 }
 
-/// Direct serving: each thread owns a `Predictor` and queries the shared
-/// snapshot one call at a time.
-fn run_direct(w: &PredictWorkload, threads: usize) -> ServeBenchRow {
-    let state = Arc::clone(&w.state);
-    let props = &w.props;
+/// Times `threads` closed-loop submitters, each issuing single queries
+/// through its own `make_query()` closure: a warm-up, then a barrier-free
+/// timed run (threads start within microseconds of each other; the
+/// workload dwarfs the skew).
+fn measure<Q: FnMut(f64) -> f64>(
+    mode: &'static str,
+    threads: usize,
+    make_query: impl Fn() -> Q + Sync,
+) -> ServeBenchRow {
     let mut latencies: Vec<u64> = Vec::with_capacity(threads * QUERIES_PER_THREAD);
-    // Per-thread warm-up, then a barrier-free timed run (threads start
-    // within microseconds of each other; the workload dwarfs the skew).
     let mut elapsed = 0.0;
     std::thread::scope(|scope| {
         let start = Instant::now();
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let state = Arc::clone(&state);
+                let make_query = &make_query;
                 scope.spawn(move || {
-                    let mut predictor = Predictor::new();
-                    for i in 0..200 {
-                        std::hint::black_box(predictor.predict_one(
-                            &state,
-                            2.0 + (i % 11) as f64,
-                            props,
-                        ));
+                    let mut query = make_query();
+                    for i in 0..WARMUP_PER_THREAD {
+                        std::hint::black_box(query(2.0 + (i % 11) as f64));
                     }
                     let mut lat = Vec::with_capacity(QUERIES_PER_THREAD);
                     let mut acc = 0.0;
                     for i in 0..QUERIES_PER_THREAD {
                         let issued = Instant::now();
-                        acc += predictor.predict_one(&state, 2.0 + (i % 11) as f64, props);
+                        acc += query(2.0 + (i % 11) as f64);
                         lat.push(issued.elapsed().as_nanos() as u64);
                     }
                     std::hint::black_box(acc);
@@ -135,74 +146,10 @@ fn run_direct(w: &PredictWorkload, threads: usize) -> ServeBenchRow {
         }
         elapsed = start.elapsed().as_secs_f64();
     });
-    row("direct", threads, elapsed, 1.0, &mut latencies)
+    row(mode, threads, elapsed, &mut latencies)
 }
 
-/// Micro-batched serving: every thread submits single queries through
-/// clones of one [`Service`] client; the serving loop coalesces them.
-/// Also returns the batcher's counter delta for the robustness summary.
-fn run_microbatched(w: &PredictWorkload, threads: usize) -> (ServeBenchRow, BatcherStats) {
-    let service = Service::builder().build().expect("in-memory service");
-    let client = service.client_for_state(Arc::clone(&w.state));
-    let props = &w.props;
-    let before = client.batcher_stats();
-    let mut latencies: Vec<u64> = Vec::with_capacity(threads * QUERIES_PER_THREAD);
-    let mut elapsed = 0.0;
-    std::thread::scope(|scope| {
-        let start = Instant::now();
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let client = client.clone();
-                scope.spawn(move || {
-                    for i in 0..200 {
-                        std::hint::black_box(
-                            client
-                                .predict(2.0 + (i % 11) as f64, props)
-                                .expect("service is live"),
-                        );
-                    }
-                    let mut lat = Vec::with_capacity(QUERIES_PER_THREAD);
-                    let mut acc = 0.0;
-                    for i in 0..QUERIES_PER_THREAD {
-                        let issued = Instant::now();
-                        acc += client
-                            .predict(2.0 + (i % 11) as f64, props)
-                            .expect("service is live");
-                        lat.push(issued.elapsed().as_nanos() as u64);
-                    }
-                    std::hint::black_box(acc);
-                    lat
-                })
-            })
-            .collect();
-        for handle in handles {
-            latencies.extend(handle.join().expect("bench thread"));
-        }
-        elapsed = start.elapsed().as_secs_f64();
-    });
-    let stats = client.batcher_stats();
-    let batches = (stats.batches - before.batches).max(1);
-    let queries = stats.queries - before.queries;
-    let delta = BatcherStats {
-        shed: stats.shed - before.shed,
-        deadline_expired: stats.deadline_expired - before.deadline_expired,
-        panics: stats.panics - before.panics,
-        restarts: stats.restarts - before.restarts,
-        ..BatcherStats::default()
-    };
-    (
-        row(
-            "microbatched",
-            threads,
-            elapsed,
-            queries as f64 / batches as f64,
-            &mut latencies,
-        ),
-        delta,
-    )
-}
-
-/// Cost of the telemetry instrumentation on the steady-state submit path:
+/// Cost of the telemetry instrumentation on the steady-state client predict path:
 /// single-thread µs/query with latency timing disabled vs enabled.
 #[derive(Debug, Clone)]
 pub struct TelemetryOverheadRow {
@@ -215,10 +162,10 @@ pub struct TelemetryOverheadRow {
     pub overhead_pct: f64,
 }
 
-/// Measures the submit-path cost of the latency-timing instrumentation
+/// Measures the predict-path cost of the latency-timing instrumentation
 /// (the only telemetry the toggle gates — counters always run, exactly as
 /// they did before the telemetry subsystem existed). The timing itself is
-/// sampled 1-in-8 inside the batcher, so the ON side pays one sampler
+/// sampled 1-in-8 inside the admission gate, so the ON side pays one sampler
 /// `fetch_add` per query plus an amortized `Instant` pair. OFF/ON runs are
 /// interleaved and each side keeps its best of five windows, cancelling
 /// frequency drift and background noise on shared hosts.
@@ -227,7 +174,7 @@ pub fn measure_telemetry_overhead() -> TelemetryOverheadRow {
     let service = Service::builder().build().expect("in-memory service");
     let client = service.client_for_state(Arc::clone(&w.state));
     let props = &w.props;
-    for i in 0..200 {
+    for i in 0..WARMUP_PER_THREAD {
         std::hint::black_box(
             client
                 .predict(2.0 + (i % 11) as f64, props)
@@ -268,17 +215,11 @@ fn percentile_us(sorted: &[u64], q: f64) -> f64 {
     nearest_rank(sorted, q) as f64 / 1e3
 }
 
-fn row(
-    mode: &'static str,
-    threads: usize,
-    elapsed_s: f64,
-    mean_batch: f64,
-    latencies: &mut [u64],
-) -> ServeBenchRow {
+fn row(mode: &'static str, threads: usize, elapsed_s: f64, latencies: &mut [u64]) -> ServeBenchRow {
     latencies.sort_unstable();
     // Warm-up queries are inside the window; subtract them from neither
     // side — they are the same 10% for both modes.
-    let per_thread = QUERIES_PER_THREAD + 200;
+    let per_thread = QUERIES_PER_THREAD + WARMUP_PER_THREAD;
     ServeBenchRow {
         mode,
         threads,
@@ -286,7 +227,6 @@ fn row(
         p50_us: percentile_us(latencies, 0.50),
         p99_us: percentile_us(latencies, 0.99),
         qps: (threads * per_thread) as f64 / elapsed_s,
-        mean_batch,
     }
 }
 
@@ -318,14 +258,13 @@ mod tests {
                 row.mode,
                 row.threads
             );
-            assert!(row.mean_batch >= 1.0);
         }
-        let (direct, batched) = r.qps_pair(4).expect("4-thread rows exist");
-        assert!(direct > 0.0 && batched > 0.0);
+        let (direct, service) = r.qps_pair(4).expect("4-thread rows exist");
+        assert!(direct > 0.0 && service > 0.0);
         // A healthy benchmark never sheds, revokes, or panics.
         assert_eq!(
-            (r.shed, r.deadline_expired, r.panics, r.restarts),
-            (0, 0, 0, 0),
+            (r.shed, r.deadline_expired, r.panics),
+            (0, 0, 0),
             "robustness counters must stay zero under benchmark load"
         );
     }

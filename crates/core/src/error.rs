@@ -23,27 +23,24 @@ pub enum BellamyError {
     Hub(HubError),
     /// Hyperparameter search could not produce a usable model.
     Search(SearchError),
-    /// A query was submitted to a service whose serving loop has stopped
-    /// (the service was shut down or its loop terminated abnormally).
-    ServiceStopped,
-    /// The micro-batcher's admission window
-    /// ([`crate::serve::BatcherConfig::max_inflight`]) is full: submitters
-    /// are outrunning the predictor and this query was shed instead of
-    /// parking unboundedly. Back off for roughly `retry_after_hint` (the
-    /// configured flush wait plus the recently observed batch service
-    /// time) before retrying.
+    /// The model's admission window
+    /// ([`crate::serve::BatcherConfig::max_inflight`]) is full: more callers
+    /// are predicting on this model at once than it admits, and this query
+    /// was shed instead of adding to the load. Back off for roughly
+    /// `retry_after_hint` (the recently observed predict time, at least
+    /// 50 µs) before retrying.
     Overloaded {
-        /// A back-off hint derived from the batcher's flush cadence.
+        /// A back-off hint derived from the model's recent predict time.
         retry_after_hint: Duration,
     },
-    /// The query's deadline budget elapsed before a result was delivered;
-    /// the submitter revoked its queue slot (or discarded a too-late
-    /// result) and gave up. Retry with a larger budget or at lower load.
+    /// The query's deadline budget was already spent when it reached
+    /// admission (a zero budget). An admitted query always returns its
+    /// value, so this is the only way a budget fails a call. Retry with a
+    /// budget.
     DeadlineExceeded,
-    /// The batched forward pass containing this query panicked. Only that
-    /// batch failed — the supervised serving loop restarts and subsequent
-    /// queries are served normally (unless repeated panics degraded the
-    /// client to direct per-caller prediction). Safe to retry.
+    /// The forward pass of this query panicked. Only this call failed —
+    /// the calling thread's predictor stays usable and subsequent queries
+    /// are served normally. Safe to retry.
     BatchPanicked,
 }
 
@@ -53,12 +50,6 @@ impl std::fmt::Display for BellamyError {
             BellamyError::Predict(e) => write!(f, "predict: {e}"),
             BellamyError::Hub(e) => write!(f, "hub: {e}"),
             BellamyError::Search(e) => write!(f, "search: {e}"),
-            BellamyError::ServiceStopped => {
-                write!(
-                    f,
-                    "the serving loop has stopped; no further queries are accepted"
-                )
-            }
             BellamyError::Overloaded { retry_after_hint } => {
                 write!(
                     f,
@@ -67,13 +58,13 @@ impl std::fmt::Display for BellamyError {
                 )
             }
             BellamyError::DeadlineExceeded => {
-                write!(f, "query deadline exceeded before a result was delivered")
+                write!(f, "query deadline exceeded before admission")
             }
             BellamyError::BatchPanicked => {
                 write!(
                     f,
-                    "the serving batch containing this query panicked; the loop \
-                     restarts and the query is safe to retry"
+                    "the forward pass of this query panicked; only this call \
+                     failed and the query is safe to retry"
                 )
             }
         }
@@ -86,8 +77,7 @@ impl std::error::Error for BellamyError {
             BellamyError::Predict(e) => Some(e),
             BellamyError::Hub(e) => Some(e),
             BellamyError::Search(e) => Some(e),
-            BellamyError::ServiceStopped
-            | BellamyError::Overloaded { .. }
+            BellamyError::Overloaded { .. }
             | BellamyError::DeadlineExceeded
             | BellamyError::BatchPanicked => None,
         }
@@ -124,7 +114,6 @@ mod tests {
         assert!(e.to_string().contains("no model registered"));
         let e: BellamyError = SearchError::AllTrialsDiverged { trials: 3 }.into();
         assert!(e.to_string().contains("diverged"));
-        assert!(BellamyError::ServiceStopped.to_string().contains("stopped"));
         let e = BellamyError::Overloaded {
             retry_after_hint: std::time::Duration::from_micros(250),
         };
@@ -141,7 +130,7 @@ mod tests {
         use std::error::Error;
         let e: BellamyError = PredictError::NotFitted.into();
         assert!(e.source().is_some());
-        assert!(BellamyError::ServiceStopped.source().is_none());
+        assert!(BellamyError::DeadlineExceeded.source().is_none());
     }
 
     #[test]

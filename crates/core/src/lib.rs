@@ -34,9 +34,9 @@
 //!
 //! The [`serve`] module is the unified front door over all of it: a
 //! [`serve::Service`] hands out cheap [`serve::ModelClient`] handles whose
-//! single-query predictions are micro-batched *across callers* into one
-//! arena-backed forward pass per flush, and every layer's error surfaces
-//! as one [`error::BellamyError`]. New callers should start there.
+//! single-query predictions run on the caller's own thread through one
+//! admission gate per model, and every layer's error surfaces as one
+//! [`error::BellamyError`]. New callers should start there.
 
 pub mod allocation;
 pub mod config;
@@ -63,7 +63,7 @@ pub use model::{Bellamy, PredictError};
 pub use predictor::{PredictQuery, Predictor};
 pub use search::{search_pretrain, SearchError, SearchReport, SearchSpace};
 pub use serve::{
-    BatcherConfig, BatcherStats, FinetunePolicy, FlushPolicy, ModelClient, Service, ServiceBuilder,
+    BatcherConfig, BatcherStats, FinetunePolicy, ModelClient, Service, ServiceBuilder,
 };
 pub use state::{ModelState, StateFromCheckpointError};
 pub use train::PretrainReport;

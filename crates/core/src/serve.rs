@@ -8,93 +8,69 @@
 //! cheap, cloneable [`ModelClient`] handles per [`ModelKey`], and every
 //! client serves through the same shared machinery.
 //!
-//! # Caller → batcher → predictor lifecycle
+//! # Caller → predictor lifecycle
 //!
 //! ```text
-//!   caller A ──predict()──┐                       ┌────────────────────┐
-//!   caller B ──predict()──┼──► pending slots ───► │ serving loop       │
-//!   caller C ──predict()──┘    (per-key queue)    │ (bellamy_par pool) │
-//!        ▲                                        │  Predictor::       │
-//!        │        flush on capacity or timeout ──►│  predict_batch     │
-//!        └──── per-caller result slots ◄──────────┴────────────────────┘
+//!   caller ──predict()──► admission gate ──► Predictor::with_thread_local
+//!     ▲                   (one per model)     └─ predict_one, on the
+//!     │                                          caller's own thread
+//!     └──────── value, or a typed error ◄────────┘
 //! ```
 //!
-//! 1. **Submit.** [`ModelClient::predict`] writes the query into its
-//!    model's pending queue (a preallocated slot ring — no allocation on
-//!    the steady-state submit path) and waits on a stack-local result slot
-//!    (spin-polling with yields, parking the thread only when the result
-//!    is slow).
-//! 2. **Collect.** The *micro-batcher*'s persistent serving loop — one
-//!    parked job on a [`bellamy_par::ThreadPool`] per served model —
-//!    collects queries from any number of submitting threads until the
-//!    batch is full ([`BatcherConfig::max_batch`]), arrivals quiesce
-//!    (under the default [`FlushPolicy::Eager`]), or the oldest query has
-//!    waited [`BatcherConfig::max_wait`].
-//! 3. **Predict.** The whole batch runs through one arena-backed
-//!    [`Predictor::predict_batch`] call. Every op in the prediction path is
-//!    row-independent, so micro-batched results are **bit-identical** to
-//!    direct per-query calls — batching changes latency and throughput,
-//!    never values (proven under ≥ 8 concurrent submitters in
-//!    `crates/core/tests/serve.rs`).
-//! 4. **Deliver.** Results land in the per-caller slots; each submitter
-//!    wakes and returns its own prediction.
+//! 1. **Admit.** [`ModelClient::predict`] takes one slot of its model's
+//!    admission window — one `fetch_add` — or sheds.
+//! 2. **Predict.** The query runs on the calling thread through that
+//!    thread's warm [`Predictor`] arena, inside `catch_unwind`. There is no
+//!    queue, no handoff and no serving thread: a Bellamy model is ~13 KB
+//!    and one query takes a few microseconds, so coalescing queries across
+//!    callers cannot pay for the handoffs it needs. Results are the
+//!    [`Predictor::predict_one`] values, bit-identical on every thread
+//!    (proven under 8 concurrent callers in `crates/core/tests/serve.rs`).
+//! 3. **Return.** The slot is released — by an RAII guard, so also on a
+//!    panic — and the value returned. Allocation-free at steady state.
 //!
-//! When the serving loop is starved of CPU — the normal condition on a
-//! single-core host, where the loop cannot run while submitters hold the
-//! core — eager-policy submitters *assist* (flat combining): a submitter
-//! whose result has not landed claims the entire pending batch under the
-//! queue lock and serves it inline on its own thread, through the same
-//! batched predictor math. With free cores the spin-polling loop claims
-//! new work first and assists stay rare; without them the batcher degrades
-//! gracefully toward direct serving instead of paying two context switches
-//! per query. [`FlushPolicy::Deadline`] disables assists — the loop alone
-//! decides when to flush, maximizing coalescing.
-//!
-//! Batched work that is already batched — [`ModelClient::predict_batch`],
+//! Already-batched work — [`ModelClient::predict_batch`],
 //! [`ModelClient::predict_sweep`], [`ModelClient::recommend_scale_out`] —
-//! bypasses the micro-batcher and runs directly on this thread's warm
-//! predictor arena; coalescing exists for the many-callers-one-query-each
-//! serving shape, not for callers that batch themselves.
+//! runs on the same thread-local arena without the admission gate.
+//!
+//! Every client of one `Arc<ModelState>` shares one gate: one set of
+//! counters ([`BatcherStats`], [`Service::telemetry`]) and one admission
+//! window. The service keeps the gates in a registry keyed by snapshot
+//! identity and reaps those no client holds anymore. A gate owns no thread,
+//! so serving a model never spawns one.
 //!
 //! # Failure semantics
 //!
-//! The front door is built to *degrade*, never to hang or go dark. Every
-//! failure is typed, counted, and tells the caller what to do next:
+//! Every failure is typed, counted, and tells the caller what to do next:
 //!
 //! | error | cause | caller action | counter |
 //! |---|---|---|---|
-//! | [`BellamyError::Overloaded`] | admission window ([`BatcherConfig::max_inflight`]) full — submitters outran the predictor | back off `retry_after_hint`, retry | [`BatcherStats::shed`] |
-//! | [`BellamyError::DeadlineExceeded`] | the query's budget ([`BatcherConfig::deadline`] / [`ModelClient::predict_with_deadline`]) elapsed while still queued | retry with a larger budget or at lower load | [`BatcherStats::deadline_expired`] |
-//! | [`BellamyError::BatchPanicked`] | the forward pass panicked mid-batch; only that batch failed, the supervised loop restarts | retry (the next batch serves normally) | [`BatcherStats::panics`], [`BatcherStats::restarts`] |
-//! | [`BellamyError::ServiceStopped`] | the service was dropped / shut down | rebuild the client from a live service | [`BatcherStats::shutdown_flushes`] |
+//! | [`BellamyError::Overloaded`] | admission window ([`BatcherConfig::max_inflight`]) full — more concurrent callers of this model than it admits | back off `retry_after_hint`, retry | [`BatcherStats::shed`] |
+//! | [`BellamyError::DeadlineExceeded`] | the query's budget ([`BatcherConfig::deadline`] / [`ModelClient::predict_with_deadline`]) was already spent at admission | retry with a budget | [`BatcherStats::deadline_expired`] |
+//! | [`BellamyError::BatchPanicked`] | the forward pass panicked; only this call failed | retry (the next call serves normally) | [`BatcherStats::panics`] |
 //!
 //! The pieces behind the table:
 //!
-//! - **Admission control.** At most [`BatcherConfig::max_inflight`] queries
-//!   are admitted (queued or mid-flush) per model. Beyond that, `submit`
-//!   *sheds* — fails fast with [`BellamyError::Overloaded`] instead of
-//!   parking an unbounded convoy of threads behind a saturated predictor.
-//! - **Deadline budgets.** Every query can carry a budget. A submitter
-//!   whose budget elapses while its query is still *queued* revokes the
-//!   query (removal and batch claims serialize on the queue mutex, so a
-//!   racing deliverer can never touch the revoked — popped — stack slot)
-//!   and returns [`BellamyError::DeadlineExceeded`]. Once a batch has
-//!   *claimed* the query, delivery is guaranteed (normal, panic-failed, or
-//!   shutdown-failed), so the submitter waits it out — and even a lost
-//!   unpark costs at most one bounded park interval, never a hang.
-//! - **Supervised serving loop.** A panic in the forward pass fails only
-//!   the in-flight batch ([`BellamyError::BatchPanicked`]); the supervisor
-//!   records it and restarts the loop with capped exponential backoff.
-//!   [`PANIC_DEGRADE_LIMIT`] panics within [`PANIC_WINDOW`] degrade the
-//!   batcher: submitters switch to direct per-caller prediction
-//!   ([`BatcherStats::degraded`]) — reduced coalescing, but the model
-//!   keeps serving instead of going dark. (Assist flushes run on the
-//!   submitter's own thread, so a panicking assist surfaces on that caller
-//!   directly, like any direct prediction.)
-//! - **Fault injection.** The flush path hits the
-//!   [`crate::faults::SERVE_FLUSH`] failpoint once per batch, so tests
-//!   inject mid-batch panics and artificial latency deterministically; the
-//!   hub's disk paths carry their own failpoints.
+//! - **Admission control.** At most [`BatcherConfig::max_inflight`] single
+//!   queries run at once per model. Beyond that, `predict` *sheds* — fails
+//!   fast with [`BellamyError::Overloaded`] — instead of piling more
+//!   threads onto a saturated model. The retry hint is the recent predict
+//!   time (an EWMA over the sampled latencies), never below 50 µs.
+//! - **Deadline budgets.** A query is claimed the moment it is admitted:
+//!   nothing waits between admission and the forward pass. So, by the
+//!   rule that a claimed query is always delivered, an admitted query
+//!   returns its value even if the pass ends past the budget. Only a budget
+//!   already spent at admission — a zero budget — gets
+//!   [`BellamyError::DeadlineExceeded`], without taking a window slot.
+//! - **Panic isolation.** A panic in the forward pass fails only its own
+//!   call ([`BellamyError::BatchPanicked`]). The unwind releases the
+//!   thread's predictor and the admission slot, so the next call on the
+//!   same thread serves normally and bit-identically.
+//! - **Fault injection.** Each single-query predict hits the
+//!   [`crate::faults::SERVE_PREDICT`] failpoint inside the thread's
+//!   predictor borrow, so tests inject mid-call panics and artificial
+//!   latency deterministically; the hub's disk paths carry their own
+//!   failpoints.
 //!
 //! Errors from every layer surface as one [`BellamyError`].
 
@@ -109,1204 +85,260 @@ use crate::model::Bellamy;
 use crate::predictor::{PredictQuery, Predictor};
 use crate::state::ModelState;
 use bellamy_linalg::kernels::{self, RequestSource, TierRequest};
-use bellamy_par::ThreadPool;
 use bellamy_telemetry::{
     self as telemetry, event_kind, Counter, Histogram, Sampler, TelemetrySnapshot,
 };
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// When the serving loop flushes a non-empty, non-full batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FlushPolicy {
-    /// Flush as soon as arrivals *quiesce* — one scheduler yield passes
-    /// with no new query — or at `max_wait`, whichever comes first.
-    /// Minimizes latency; batches form from natural arrival bursts (the
-    /// queries that accumulate while the loop is busy predicting).
-    #[default]
-    Eager,
-    /// Hold the batch the full `max_wait` unless it fills to `max_batch`.
-    /// Maximizes coalescing at a bounded latency cost — for throughput-
-    /// over-latency deployments with many more submitters than cores.
-    Deadline,
-}
-
-/// Micro-batcher tuning: when a collecting batch is flushed to the
-/// predictor.
-#[derive(Debug, Clone, Copy)]
+/// Limits of one model's single-query serving path.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BatcherConfig {
-    /// Flush as soon as this many queries are pending. Also sizes the
-    /// preallocated pending-slot ring, so it bounds submit-side memory.
-    pub max_batch: usize,
-    /// Flush once the *oldest* pending query has waited this long, even if
-    /// the batch is neither full nor (under [`FlushPolicy::Eager`])
-    /// quiesced.
-    pub max_wait: Duration,
-    /// When to flush a partial batch (see [`FlushPolicy`]).
-    pub policy: FlushPolicy,
-    /// Admission window: the most queries allowed in flight (queued or
-    /// mid-flush) before `submit` sheds with [`BellamyError::Overloaded`]
-    /// instead of parking yet another thread behind a saturated predictor.
-    /// `0` (the default) derives the window as `4 * max_batch` — the
-    /// collecting batch plus a few flushes' worth of headroom.
+    /// Admission window: the most single queries one model serves at once,
+    /// across all of its clients, before `predict` sheds with
+    /// [`BellamyError::Overloaded`]. `0` (the default) means 256.
     pub max_inflight: usize,
-    /// Default per-query deadline budget. `None` (the default): queries
-    /// wait indefinitely. [`ModelClient::predict_with_deadline`] overrides
-    /// this per call.
+    /// Default per-query deadline budget. `None` (the default): no budget.
+    /// [`ModelClient::predict_with_deadline`] overrides this per call. See
+    /// the module docs for what a direct call does with a budget.
     pub deadline: Option<Duration>,
 }
 
-impl Default for BatcherConfig {
-    fn default() -> Self {
-        Self {
-            max_batch: 64,
-            max_wait: Duration::from_micros(100),
-            policy: FlushPolicy::Eager,
-            max_inflight: 0,
-            deadline: None,
-        }
-    }
-}
+/// The admission window used when [`BatcherConfig::max_inflight`] is 0.
+const DEFAULT_MAX_INFLIGHT: u64 = 256;
 
-/// Operation counters of one model's micro-batcher.
+/// Operation counters of one model's single-query serving path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatcherStats {
-    /// Queries served through the batcher.
+    /// Single queries served. Shed, expired and panicked calls are not
+    /// counted.
     pub queries: u64,
-    /// Batches flushed to the predictor. At quiescence (no flush in
-    /// flight) the per-reason counters below (capacity + timeout +
-    /// quiesce + assist + shutdown) sum to this; a snapshot taken while a
-    /// flush is being counted may transiently be off by one.
+    /// Forward passes run for single queries. Every query is its own pass,
+    /// so this equals `queries`.
     pub batches: u64,
-    /// Batches flushed because they filled to `max_batch`.
-    pub capacity_flushes: u64,
-    /// Batches flushed because the oldest query aged past `max_wait`.
-    pub timeout_flushes: u64,
-    /// Batches flushed because arrivals quiesced ([`FlushPolicy::Eager`]).
-    pub quiesce_flushes: u64,
-    /// Batches served inline by an assisting submitter (flat combining,
-    /// [`FlushPolicy::Eager`] only) because the serving loop was starved
-    /// of CPU.
+    /// Always 0: no query is served on another caller's thread. The field
+    /// remains only until the benchmark is next revised.
     pub assist_flushes: u64,
-    /// Batches drained because the batcher was shutting down (queries that
-    /// were pending when the service dropped are still served, once).
-    pub shutdown_flushes: u64,
     /// Queries shed at admission because [`BatcherConfig::max_inflight`]
-    /// was reached ([`BellamyError::Overloaded`]). Shed queries never enter
-    /// the pending queue and are not counted in `queries`.
+    /// was reached ([`BellamyError::Overloaded`]).
     pub shed: u64,
-    /// Queries revoked because their deadline budget elapsed while still
-    /// queued ([`BellamyError::DeadlineExceeded`]).
+    /// Queries turned away because their deadline budget was already spent
+    /// at admission ([`BellamyError::DeadlineExceeded`]).
     pub deadline_expired: u64,
-    /// Forward-pass panics absorbed by the supervised serving loop (each
-    /// failed exactly one batch with [`BellamyError::BatchPanicked`]).
+    /// Forward-pass panics caught; each failed exactly its own call with
+    /// [`BellamyError::BatchPanicked`].
     pub panics: u64,
-    /// Times the supervisor respawned the serving loop after a panic.
+    /// Always 0: there is no serving loop to restart. The field remains
+    /// only until the benchmark is next revised.
     pub restarts: u64,
-    /// True once repeated panics ([`PANIC_DEGRADE_LIMIT`] within
-    /// [`PANIC_WINDOW`]) degraded this batcher to direct per-caller
-    /// prediction.
-    pub degraded: bool,
-    /// Kernel tier requested for this process (`"auto"`, `"scalar"`,
-    /// `"simd"`, or `"fma"` — see `bellamy_linalg::kernels::resolution`).
-    /// Empty only on [`BatcherStats::default`].
-    pub kernel_requested: &'static str,
-    /// Kernel backend the request actually resolved to (e.g. `"avx2-fma"`).
-    /// Differs from an honored request only when the hardware forced a
-    /// degradation — compare with `kernel_requested` to detect silent
-    /// fallback from operational stats.
-    pub kernel_resolved: &'static str,
 }
 
-impl BatcherStats {
-    /// Stamps the process-wide kernel resolution onto a stats snapshot.
-    fn with_kernel_resolution(mut self) -> Self {
-        let res = kernels::resolution();
-        self.kernel_requested = res.requested_name();
-        self.kernel_resolved = res.resolved_name();
-        self
-    }
-}
+/// Every `N`-th served query pays the latency clock pair.
+const LATENCY_SAMPLE_PERIOD: u64 = 8;
 
-/// Why the serving loop decided to flush the collecting batch.
-enum FlushReason {
-    Capacity,
-    Timeout,
-    Quiesce,
-    Shutdown,
-}
-
-/// Scheduler yields the serving loop spends polling for new work before
-/// parking on the condvar, and a submitter spends polling its result slot
-/// before parking. Yield-polling keeps the steady-state handoff free of
-/// futex syscalls on both sides; the parked path only pays when traffic
-/// actually pauses.
-const IDLE_SPINS: usize = 256;
-const SLOT_SPINS: usize = 256;
-
-/// Forward-pass panics within [`PANIC_WINDOW`] that degrade the batcher to
-/// direct per-caller prediction instead of restarting the loop again.
-pub const PANIC_DEGRADE_LIMIT: usize = 5;
-/// The sliding window over which panics count toward
-/// [`PANIC_DEGRADE_LIMIT`].
-pub const PANIC_WINDOW: Duration = Duration::from_secs(30);
-
-/// Supervisor restart backoff: doubles per panic inside the window,
-/// starting at the base, never exceeding the cap. Kept small — the backoff
-/// exists to stop a deterministically panicking model from spinning a core,
-/// not to make callers wait.
-const RESTART_BACKOFF_BASE: Duration = Duration::from_millis(1);
-const RESTART_BACKOFF_CAP: Duration = Duration::from_millis(100);
-
-/// Upper bound on any single park while waiting for delivery. Delivery
-/// normally ends the park via `unpark`; the backstop means a lost wakeup
-/// (or an unpark token consumed by an unrelated park) costs one bounded
-/// re-check instead of hanging the submitter forever.
-const PARK_BACKSTOP: Duration = Duration::from_millis(100);
-
-/// One caller's parked query. The raw pointers refer to the submitting
-/// caller's stack frame; they stay valid because `submit` blocks until the
-/// serving loop has delivered the result into the slot (the same contract
-/// `bellamy_par::WorkTeam` uses for its type-erased tasks).
-struct Request {
-    scale_out: f64,
-    props: *const ContextProperties,
-    slot: *const ResponseSlot,
-}
-
-// SAFETY: the pointers are only dereferenced by the serving loop while the
-// submitting caller is parked inside `submit`, so the referents outlive
-// every access. The slot's interior is coordinated by its atomic status
-// protocol (see `ResponseSlot`).
-unsafe impl Send for Request {}
-
-const SLOT_EMPTY: u32 = 0;
-const SLOT_PARKED: u32 = 1;
-/// Deliverer mid-publish: the result is decided but the final status has
-/// not landed. A waiter observing this spins in [`ResponseSlot::take`]
-/// instead of returning, which keeps the slot's stack frame alive for the
-/// deliverer's last store.
-const SLOT_DELIVERING: u32 = 2;
-const SLOT_READY: u32 = 3;
-const SLOT_FAILED: u32 = 4;
-/// The batch containing this query panicked mid-forward-pass; the query
-/// was never served but the service survives ([`BellamyError::BatchPanicked`]).
-const SLOT_PANICKED: u32 = 5;
-
-/// Stack-local rendezvous cell for one query's result: the submitter
-/// spin-polls `status` (yielding between polls), parking its thread only
-/// when the result is slow; the serving loop publishes the value in two
-/// phases (`DELIVERING`, then the final status) so its last access to the
-/// slot is an atomic store — the wakeup itself goes through a cloned,
-/// internally refcounted [`std::thread::Thread`] handle that stays valid
-/// even after the submitter returns and pops the frame owning this slot.
-struct ResponseSlot {
-    value: std::cell::UnsafeCell<f64>,
-    status: std::sync::atomic::AtomicU32,
-    /// The parked submitter's handle; written before `PARKED` is
-    /// advertised, read by the deliverer only after observing `PARKED`.
-    waiter: std::cell::UnsafeCell<Option<std::thread::Thread>>,
-}
-
-impl ResponseSlot {
-    fn new() -> Self {
-        Self {
-            value: std::cell::UnsafeCell::new(0.0),
-            status: std::sync::atomic::AtomicU32::new(SLOT_EMPTY),
-            waiter: std::cell::UnsafeCell::new(None),
-        }
-    }
-
-    /// Callable only once `status >= SLOT_DELIVERING`.
-    fn take(&self) -> Result<f64, BellamyError> {
-        let mut spins = 0usize;
-        loop {
-            match self.status.load(Ordering::Acquire) {
-                // Mid-publish: the final status lands within a few
-                // instructions — unless the deliverer was preempted, so
-                // after a bounded spin yield the core to let it finish
-                // (a pure spin could stall a whole quantum, or livelock
-                // under real-time priorities, on a single-core host).
-                // Staying in this loop is what keeps the slot alive for
-                // the deliverer's last store.
-                SLOT_DELIVERING if spins < SLOT_SPINS => {
-                    spins += 1;
-                    std::hint::spin_loop();
-                }
-                SLOT_DELIVERING => std::thread::yield_now(),
-                // SAFETY: READY is only published (release) after the
-                // deliverer wrote the value; our acquire load sees it.
-                SLOT_READY => return Ok(unsafe { *self.value.get() }),
-                SLOT_PANICKED => return Err(BellamyError::BatchPanicked),
-                _ => return Err(BellamyError::ServiceStopped),
-            }
-        }
-    }
-
-    /// Loop side: publish a result (`None`: the batcher is shutting down
-    /// and the query will never be served) and wake the waiter if it
-    /// parked.
-    fn deliver(&self, result: Option<f64>) {
-        self.finish(result, SLOT_FAILED);
-    }
-
-    /// Loop side: fail the query because its batch's forward pass panicked.
-    /// The service itself survives (the supervisor restarts the loop), so
-    /// the waiter gets the retryable [`BellamyError::BatchPanicked`].
-    fn deliver_panicked(&self) {
-        self.finish(None, SLOT_PANICKED);
-    }
-
-    fn finish(&self, result: Option<f64>, failure: u32) {
-        let final_status = match result {
-            Some(v) => {
-                // SAFETY: the submitter only reads after observing READY.
-                unsafe { *self.value.get() = v };
-                SLOT_READY
-            }
-            None => failure,
-        };
-        // Two-phase publish. DELIVERING freezes the slot: a waiter that
-        // wakes now spins in `take` instead of returning, so neither the
-        // handle read nor the final store below can race the submitter
-        // popping the stack frame that owns this slot.
-        let was = self.status.swap(SLOT_DELIVERING, Ordering::AcqRel);
-        let waiter = if was == SLOT_PARKED {
-            // SAFETY: PARKED is advertised (release) only after the
-            // submitter wrote the handle, and the submitter cannot return
-            // while the status is DELIVERING.
-            unsafe { (*self.waiter.get()).take() }
-        } else {
-            None
-        };
-        // The deliverer's LAST access to the slot: after this store the
-        // submitter may return at any moment. `Thread` is internally
-        // refcounted, so the unpark below stays safe even then.
-        self.status.store(final_status, Ordering::Release);
-        if let Some(thread) = waiter {
-            thread.unpark();
-        }
-    }
-}
-
-struct BatchQueue {
-    /// The collecting batch; capacity fixed at `max_batch`, so pushes never
-    /// reallocate.
-    pending: Vec<Request>,
-    /// Arrival time of the oldest pending query (the flush-deadline anchor).
-    oldest: Option<Instant>,
-    shutdown: bool,
-}
-
-struct BatcherShared {
-    cfg: BatcherConfig,
-    /// The served snapshot (the loop and assisting submitters predict
-    /// against it).
+/// The shared serving state of one model: its admission window and the
+/// counters every client of the snapshot reports into. Holds no thread.
+///
+/// The counters are the single source of truth: [`BatcherStats`] and
+/// [`Service::telemetry`] are both snapshot reads of these handles, so the
+/// two views cannot drift.
+struct Gate {
+    /// The served snapshot; held so its address — the registry key — stays
+    /// unique while the gate lives.
     state: Arc<ModelState>,
-    queue: Mutex<BatchQueue>,
-    /// Wakes the serving loop when it is parked (new work or shutdown).
-    work: Condvar,
-    /// True while the serving loop is parked on `work` — submitters skip
-    /// the notify syscall entirely while the loop is spinning.
-    loop_parked: std::sync::atomic::AtomicBool,
-    /// Wakes submitters waiting for a free pending slot.
-    space: Condvar,
-    /// Resolved admission window (config value, or `4 * max_batch` when the
-    /// config said `0`), never less than `max_batch` so a full batch can
-    /// always form.
     max_inflight: u64,
-    /// Queries currently admitted: incremented at admission, decremented on
-    /// every submit exit (delivered, revoked, failed).
+    deadline: Option<Duration>,
+    /// Queries admitted and not yet returned.
     inflight: AtomicU64,
-    /// True once repeated panics degraded this batcher; submitters then
-    /// predict directly on their own threads and never enqueue.
-    degraded: AtomicBool,
-    /// EWMA of batch service time in nanoseconds (feeds the
+    /// EWMA of sampled predict time in nanoseconds (feeds the
     /// [`BellamyError::Overloaded`] retry hint).
-    flush_nanos: AtomicU64,
-    /// Operation counters and latency distributions (see
-    /// [`BatcherMetrics`]). [`BatcherStats`] and [`Service::telemetry`]
-    /// both read these same atomics.
-    metrics: BatcherMetrics,
-}
-
-/// The single source of truth for one batcher's operation counts and
-/// latency distributions, built on the lock-free `bellamy_telemetry`
-/// primitives. Every count lives exactly once: [`MicroBatcher::stats`]
-/// (the `BatcherStats` view) and [`Service::telemetry`] are both cheap
-/// snapshot reads of these handles, so the two views cannot drift.
-struct BatcherMetrics {
+    predict_nanos: AtomicU64,
     queries: Counter,
-    batches: Counter,
-    capacity_flushes: Counter,
-    timeout_flushes: Counter,
-    quiesce_flushes: Counter,
-    assist_flushes: Counter,
-    shutdown_flushes: Counter,
     shed: Counter,
     deadline_expired: Counter,
     panics: Counter,
-    restarts: Counter,
-    /// Gates the submit-latency `Instant` pair to 1 in
-    /// [`SUBMIT_LATENCY_SAMPLE_PERIOD`] queries: a clock read costs more
-    /// than the entire rest of the record path (~75 ns on VM hosts without
-    /// a vDSO fast path), so timing every query would dominate the
-    /// instrumentation budget on µs-scale submits. Sampling keeps the
-    /// histogram's quantiles representative of a steady workload at ~1/8th
-    /// the cost.
-    submit_sampler: Sampler,
-    /// Sampled submit → response latency in nanoseconds. Recorded only
-    /// while `bellamy_telemetry::timing_enabled()` (the default); the
-    /// record is one `fetch_add`, keeping the submit path allocation-free.
-    submit_latency: Histogram,
-    /// Per-batch forward-pass latency in nanoseconds (loop and assist
-    /// flushes; reuses the `Instant` pair the EWMA already pays for).
-    flush_latency: Histogram,
-    /// Distribution of claimed batch sizes (queries per flush).
-    batch_size: Histogram,
+    /// Gates the latency `Instant` pair to 1 in [`LATENCY_SAMPLE_PERIOD`]
+    /// queries: a clock read costs more than the entire rest of the record
+    /// path (~75 ns on VM hosts without a vDSO fast path), so timing every
+    /// query would dominate the instrumentation budget on µs-scale calls.
+    sampler: Sampler,
+    /// Sampled admission → return latency in nanoseconds. Recorded only
+    /// while `bellamy_telemetry::timing_enabled()` (the default); the record
+    /// is one `fetch_add`, keeping the path allocation-free.
+    latency: Histogram,
 }
 
-/// Every `N`-th delivered query pays the submit-latency clock pair.
-const SUBMIT_LATENCY_SAMPLE_PERIOD: u64 = 8;
-
-impl Default for BatcherMetrics {
-    fn default() -> Self {
+impl Gate {
+    fn new(state: Arc<ModelState>, cfg: &BatcherConfig) -> Self {
         Self {
+            state,
+            max_inflight: match cfg.max_inflight {
+                0 => DEFAULT_MAX_INFLIGHT,
+                n => n as u64,
+            },
+            deadline: cfg.deadline,
+            inflight: AtomicU64::new(0),
+            predict_nanos: AtomicU64::new(0),
             queries: Counter::new(),
-            batches: Counter::new(),
-            capacity_flushes: Counter::new(),
-            timeout_flushes: Counter::new(),
-            quiesce_flushes: Counter::new(),
-            assist_flushes: Counter::new(),
-            shutdown_flushes: Counter::new(),
             shed: Counter::new(),
             deadline_expired: Counter::new(),
             panics: Counter::new(),
-            restarts: Counter::new(),
-            submit_sampler: Sampler::every(SUBMIT_LATENCY_SAMPLE_PERIOD),
-            submit_latency: Histogram::new(),
-            flush_latency: Histogram::new(),
-            batch_size: Histogram::new(),
+            sampler: Sampler::every(LATENCY_SAMPLE_PERIOD),
+            latency: Histogram::new(),
         }
     }
-}
 
-thread_local! {
-    /// Reusable scratch for the assist path (flat combining): claimed
-    /// requests, their query views, and the copied-out results. Grows to
-    /// the largest claimed batch once, then steady-state assists are
-    /// allocation-free.
-    #[allow(clippy::type_complexity)]
-    static ASSIST_SCRATCH: std::cell::RefCell<(Vec<Request>, Vec<PredictQuery<'static>>, Vec<f64>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
-}
-
-impl BatcherShared {
     /// Human-readable identity of the served model for events and metric
     /// labels: the hub registry key, or `<unkeyed>` for ad hoc snapshots.
     fn model_label(&self) -> &str {
         self.state.registry_key().unwrap_or("<unkeyed>")
     }
 
-    /// Folds one batch service time into the EWMA (weight 1/4 — responsive
-    /// to load shifts, stable against single outliers).
-    fn record_flush(&self, elapsed: Duration) {
+    /// How long a shed caller should back off: the recent predict time,
+    /// roughly when one admitted query will have left the window.
+    fn retry_after_hint(&self) -> Duration {
+        Duration::from_nanos(self.predict_nanos.load(Ordering::Relaxed))
+            .max(Duration::from_micros(50))
+    }
+
+    /// Records one sampled latency and folds it into the EWMA (weight 1/4 —
+    /// responsive to load shifts, stable against single outliers).
+    fn record_latency(&self, elapsed: Duration) {
+        self.latency.record_duration(elapsed);
         let sample = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let old = self.flush_nanos.load(Ordering::Relaxed);
+        let old = self.predict_nanos.load(Ordering::Relaxed);
         let new = if old == 0 {
             sample
         } else {
             old - old / 4 + sample / 4
         };
-        self.flush_nanos.store(new, Ordering::Relaxed);
+        self.predict_nanos.store(new, Ordering::Relaxed);
     }
 
-    /// How long a shed caller should back off: one flush wait plus the
-    /// recently observed batch service time — roughly when the current
-    /// congestion will have drained one batch.
-    fn retry_after_hint(&self) -> Duration {
-        let service = Duration::from_nanos(self.flush_nanos.load(Ordering::Relaxed));
-        (self.cfg.max_wait + service).max(Duration::from_micros(50))
-    }
-
-    /// Direct per-caller prediction — the degraded-mode path (no batching,
-    /// no queue, no admission; a panicking model surfaces on this caller
-    /// like any direct `Predictor` use).
-    fn predict_direct(&self, scale_out: f64, props: &ContextProperties) -> f64 {
-        Predictor::with_thread_local(|p| p.predict_one(&self.state, scale_out, props))
-    }
-
-    /// Removes this submitter's still-queued request. Every claim — the
-    /// serving loop's swap, an assister's append — and this removal run
-    /// under the queue mutex, so exactly one of two things is true when it
-    /// returns:
-    ///
-    /// - `true`: the request was still queued and is now gone. No
-    ///   deliverer has seen it or ever will, so the caller may pop the
-    ///   slot's stack frame immediately.
-    /// - `false`: a batch already claimed the request. Delivery into the
-    ///   slot is then guaranteed (normal, panic-failed, or shutdown-failed)
-    ///   and the caller must keep the frame alive until it lands.
-    ///
-    /// This lock-serialized handoff is what keeps a racing deliverer from
-    /// ever touching a revoked — popped — stack slot.
-    fn try_revoke(&self, slot: &ResponseSlot) -> bool {
-        let mut q = self.queue.lock();
-        let before = q.pending.len();
-        q.pending
-            .retain(|r| !std::ptr::eq(r.slot, slot as *const _));
-        let revoked = q.pending.len() < before;
-        if revoked && q.pending.is_empty() {
-            q.oldest = None;
-        }
-        revoked
-    }
-
-    /// Submitter side: spin briefly, then park until delivery — bounded by
-    /// the query's deadline while it is still revocable, and by
-    /// [`PARK_BACKSTOP`] always (a lost unpark costs one re-check, never a
-    /// hang).
-    fn wait_slot(
-        &self,
-        slot: &ResponseSlot,
-        deadline_at: Option<Instant>,
-    ) -> Result<f64, BellamyError> {
-        for _ in 0..SLOT_SPINS {
-            if slot.status.load(Ordering::Acquire) >= SLOT_DELIVERING {
-                return slot.take();
-            }
-            // An expired budget ends the spin phase early: on a crowded
-            // host a full yield round can outlast a short budget, and the
-            // revocation machinery below must get its turn.
-            if deadline_at.is_some_and(|at| Instant::now() >= at) {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        // Publish the park handle before advertising PARKED: the deliverer
-        // reads it only after its swap observes PARKED (acquire), which
-        // orders that read after this write.
-        unsafe { *slot.waiter.get() = Some(std::thread::current()) };
-        if slot
-            .status
-            .compare_exchange(SLOT_EMPTY, SLOT_PARKED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            let mut deadline_at = deadline_at;
-            while slot.status.load(Ordering::Acquire) == SLOT_PARKED {
-                let wait = match deadline_at {
-                    Some(at) => {
-                        let now = Instant::now();
-                        if now >= at {
-                            if self.try_revoke(slot) {
-                                self.metrics.deadline_expired.inc();
-                                return Err(BellamyError::DeadlineExceeded);
-                            }
-                            // Already claimed by a batch: delivery is
-                            // guaranteed, so stop watching the clock and
-                            // wait it out on the backstop alone.
-                            deadline_at = None;
-                            PARK_BACKSTOP
-                        } else {
-                            (at - now).min(PARK_BACKSTOP)
-                        }
-                    }
-                    None => PARK_BACKSTOP,
-                };
-                // Spurious returns (timeouts, stale unpark tokens from an
-                // earlier slot) just re-check the status.
-                std::thread::park_timeout(wait);
-            }
-        }
-        slot.take()
-    }
-
-    /// Serves one claimed batch on *this* thread — the flat-combining
-    /// fallback for when the serving loop is starved of CPU (the common
-    /// case on single-core hosts: the loop cannot run while submitters
-    /// hold the core). Returns false when there was nothing to claim.
-    ///
-    /// Safe to run concurrently with the loop and other assisters: the
-    /// queue mutex makes claims disjoint, and whoever claims a request
-    /// delivers it. Results stay bit-identical — the same
-    /// [`Predictor::predict_batch`] math runs, just on a different thread.
-    /// A panicking forward pass fails the whole claimed batch (every
-    /// submitter gets the retryable [`BellamyError::BatchPanicked`] instead
-    /// of hanging, and no stale request pointers survive in the scratch)
-    /// before the panic resumes on this caller.
-    fn assist_once(&self) -> bool {
-        ASSIST_SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            let (requests, queries, results) = &mut *scratch;
-            {
-                let mut q = self.queue.lock();
-                if q.pending.is_empty() {
-                    return false;
-                }
-                // Append (not swap): `pending` keeps its preallocated
-                // capacity so loop-side pushes never reallocate.
-                requests.append(&mut q.pending);
-                q.oldest = None;
-            }
-            self.space.notify_all();
-            for r in requests.iter() {
-                queries.push(PredictQuery {
-                    scale_out: r.scale_out,
-                    // SAFETY: the owning submitter is blocked until this
-                    // batch delivers (see `Request`).
-                    props: unsafe { &*r.props },
-                });
-            }
-            let flush_started = Instant::now();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = faults::SERVE_FLUSH.check();
-                Predictor::with_thread_local(|p| {
-                    results.extend_from_slice(p.predict_batch(&self.state, queries));
-                });
-            }));
-            match outcome {
-                Ok(()) => {
-                    let flush_elapsed = flush_started.elapsed();
-                    self.record_flush(flush_elapsed);
-                    self.metrics.flush_latency.record_duration(flush_elapsed);
-                    self.metrics.batch_size.record(requests.len() as u64);
-                    // Count before delivering, matching the serving loop:
-                    // a caller whose query this assist served must never
-                    // read stats that omit its own completed query.
-                    self.metrics.queries.add(requests.len() as u64);
-                    self.metrics.batches.inc();
-                    self.metrics.assist_flushes.inc();
-                    for (r, &pred) in requests.iter().zip(results.iter()) {
-                        // SAFETY: as above — the submitter is blocked.
-                        unsafe { &*r.slot }.deliver(Some(pred));
-                    }
-                }
-                Err(payload) => {
-                    // No request was delivered yet (delivery is the step
-                    // after the forward pass): fail them all so their
-                    // submitters unblock, clear the raw-pointer scratch,
-                    // and let the panic continue on this caller.
-                    self.metrics.panics.inc();
-                    for r in requests.iter() {
-                        // SAFETY: as above — the submitter is blocked.
-                        unsafe { &*r.slot }.deliver_panicked();
-                    }
-                    requests.clear();
-                    queries.clear();
-                    results.clear();
-                    std::panic::resume_unwind(payload);
-                }
-            }
-            requests.clear();
-            queries.clear();
-            results.clear();
-            true
-        })
-    }
-
-    /// Eager-policy wait: serve unclaimed work ourselves until our own
-    /// result lands. No grace yields before assisting — a yield on a busy
-    /// single-core host costs two context switches, more than serving the
-    /// claimable batch inline, while with free cores the spin-polling loop
-    /// claims new work before our first status check anyway, so assists
-    /// naturally fire only when the loop is starved of CPU.
-    fn wait_with_assist(
-        &self,
-        slot: &ResponseSlot,
-        deadline_at: Option<Instant>,
-    ) -> Result<f64, BellamyError> {
-        while slot.status.load(Ordering::Acquire) < SLOT_DELIVERING {
-            if let Some(at) = deadline_at {
-                if Instant::now() >= at {
-                    if self.try_revoke(slot) {
-                        self.metrics.deadline_expired.inc();
-                        return Err(BellamyError::DeadlineExceeded);
-                    }
-                    // Claimed (possibly by this thread's own last assist):
-                    // delivery is guaranteed, wait it out.
-                    return self.wait_slot(slot, None);
-                }
-            }
-            if !self.assist_once() {
-                // Nothing claimable: our query is already in flight on the
-                // loop (or another assister); park until it delivers.
-                return self.wait_slot(slot, deadline_at);
-            }
-        }
-        slot.take()
-    }
-}
-
-/// The cross-caller micro-batcher for one served model: a preallocated
-/// pending queue plus a persistent serving loop parked on a
-/// [`bellamy_par::ThreadPool`]. See the module docs for the lifecycle.
-struct MicroBatcher {
-    shared: Arc<BatcherShared>,
-    /// Owns the parked serving-loop job; dropped (and joined) after
-    /// shutdown is signalled in [`MicroBatcher::drop`].
-    _pool: ThreadPool,
-}
-
-impl MicroBatcher {
-    fn new(state: Arc<ModelState>, cfg: BatcherConfig) -> Self {
-        let cfg = BatcherConfig {
-            max_batch: cfg.max_batch.max(1),
-            ..cfg
-        };
-        let max_inflight = if cfg.max_inflight == 0 {
-            cfg.max_batch.saturating_mul(4)
-        } else {
-            // Never smaller than the batch, so a full batch can form.
-            cfg.max_inflight.max(cfg.max_batch)
-        } as u64;
-        let shared = Arc::new(BatcherShared {
-            cfg,
-            state,
-            queue: Mutex::new(BatchQueue {
-                pending: Vec::with_capacity(cfg.max_batch),
-                oldest: None,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            loop_parked: std::sync::atomic::AtomicBool::new(false),
-            space: Condvar::new(),
-            max_inflight,
-            inflight: AtomicU64::new(0),
-            degraded: AtomicBool::new(false),
-            flush_nanos: AtomicU64::new(0),
-            metrics: BatcherMetrics::default(),
-        });
-        let pool = ThreadPool::named("bellamy-serve", 1);
-        {
-            let shared = Arc::clone(&shared);
-            pool.execute(move || supervised_loop(shared));
-        }
-        Self {
-            shared,
-            _pool: pool,
-        }
-    }
-
-    /// Submits one query and blocks until its result is delivered, it is
-    /// shed at admission, or its deadline budget runs out.
-    /// Allocation-free at steady state: the pending push stays within the
-    /// preallocated capacity and the result slot lives on this stack frame.
-    fn submit(&self, scale_out: f64, props: &ContextProperties) -> Result<f64, BellamyError> {
-        self.submit_with_deadline(scale_out, props, self.shared.cfg.deadline)
-    }
-
-    fn submit_with_deadline(
+    /// Admits one query and predicts it on this thread; see the module
+    /// docs for the failure semantics.
+    fn predict(
         &self,
         scale_out: f64,
         props: &ContextProperties,
         deadline: Option<Duration>,
     ) -> Result<f64, BellamyError> {
-        // Supplemental latency timing: one `Instant` pair plus one
-        // histogram `fetch_add`, paid by 1 query in 8 (see
-        // `SUBMIT_LATENCY_SAMPLE_PERIOD`; the sampler tick itself is one
-        // relaxed `fetch_add`) and gated so the bench harness can measure
-        // its cost. Still allocation-free either way.
-        let started = (telemetry::timing_enabled() && self.shared.metrics.submit_sampler.tick())
-            .then(Instant::now);
-        let result = self.submit_inner(scale_out, props, deadline);
-        if result.is_ok() {
-            if let Some(t0) = started {
-                self.shared
-                    .metrics
-                    .submit_latency
-                    .record_duration(t0.elapsed());
-            }
+        if deadline.is_some_and(|d| d.is_zero()) {
+            self.deadline_expired.inc();
+            return Err(BellamyError::DeadlineExceeded);
         }
-        result
-    }
-
-    fn submit_inner(
-        &self,
-        scale_out: f64,
-        props: &ContextProperties,
-        deadline: Option<Duration>,
-    ) -> Result<f64, BellamyError> {
-        let shared = &*self.shared;
-        // Degraded (repeated forward-pass panics): predict directly on this
-        // thread — no queue, no admission window to consume.
-        if shared.degraded.load(Ordering::Acquire) {
-            return Ok(shared.predict_direct(scale_out, props));
-        }
-        // Admission control: shed instead of joining an unbounded convoy.
-        if shared.inflight.fetch_add(1, Ordering::AcqRel) >= shared.max_inflight {
-            shared.inflight.fetch_sub(1, Ordering::AcqRel);
-            shared.metrics.shed.inc();
+        if self.inflight.fetch_add(1, Ordering::AcqRel) >= self.max_inflight {
+            self.inflight.fetch_sub(1, Ordering::AcqRel);
+            self.shed.inc();
             return Err(BellamyError::Overloaded {
-                retry_after_hint: shared.retry_after_hint(),
+                retry_after_hint: self.retry_after_hint(),
             });
         }
-        let _admission = AdmissionGuard(&shared.inflight);
-        let deadline_at = deadline.map(|d| Instant::now() + d);
-        let slot = ResponseSlot::new();
-        {
-            let mut q = shared.queue.lock();
-            loop {
-                if shared.degraded.load(Ordering::Acquire) {
-                    drop(q);
-                    return Ok(shared.predict_direct(scale_out, props));
+        let _admission = AdmissionGuard(&self.inflight);
+        // Supplemental latency timing: one `Instant` pair plus one
+        // histogram `fetch_add`, paid by 1 query in 8 and gated so the bench
+        // harness can measure its cost. Allocation-free either way.
+        let started = (telemetry::timing_enabled() && self.sampler.tick()).then(Instant::now);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Predictor::with_thread_local(|p| {
+                let _ = faults::SERVE_PREDICT.check();
+                p.predict_one(&self.state, scale_out, props)
+            })
+        }));
+        match outcome {
+            Ok(value) => {
+                if let Some(t0) = started {
+                    self.record_latency(t0.elapsed());
                 }
-                if q.shutdown {
-                    return Err(BellamyError::ServiceStopped);
-                }
-                if q.pending.len() < shared.cfg.max_batch {
-                    break;
-                }
-                // The batch is full and mid-flush; wait for slots to free —
-                // within the deadline budget, if the query carries one.
-                if shared.loop_parked.load(Ordering::Acquire) {
-                    shared.work.notify_one();
-                }
-                match deadline_at {
-                    Some(at) => {
-                        let now = Instant::now();
-                        if now >= at {
-                            shared.metrics.deadline_expired.inc();
-                            return Err(BellamyError::DeadlineExceeded);
-                        }
-                        let _ = shared.space.wait_for(&mut q, at - now);
-                    }
-                    None => shared.space.wait(&mut q),
-                }
+                self.queries.inc();
+                Ok(value)
             }
-            if q.pending.is_empty() {
-                q.oldest = Some(Instant::now());
+            Err(_) => {
+                self.panics.inc();
+                telemetry::events().record(
+                    event_kind::SERVE_PANIC,
+                    format!(
+                        "model `{}`: forward pass panicked; only its own call failed",
+                        self.model_label()
+                    ),
+                );
+                Err(BellamyError::BatchPanicked)
             }
-            q.pending.push(Request {
-                scale_out,
-                props,
-                slot: &slot,
-            });
-        }
-        // The loop normally yield-polls the queue; pay the notify syscall
-        // only when it actually parked.
-        if shared.loop_parked.load(Ordering::Acquire) {
-            shared.work.notify_one();
-        }
-        match shared.cfg.policy {
-            // Eager: combine on this thread when the loop is starved.
-            FlushPolicy::Eager => shared.wait_with_assist(&slot, deadline_at),
-            // Deadline: the loop alone decides when to flush.
-            FlushPolicy::Deadline => shared.wait_slot(&slot, deadline_at),
         }
     }
 
     fn stats(&self) -> BatcherStats {
-        let m = &self.shared.metrics;
+        let queries = self.queries.get();
         BatcherStats {
-            queries: m.queries.get(),
-            batches: m.batches.get(),
-            capacity_flushes: m.capacity_flushes.get(),
-            timeout_flushes: m.timeout_flushes.get(),
-            quiesce_flushes: m.quiesce_flushes.get(),
-            assist_flushes: m.assist_flushes.get(),
-            shutdown_flushes: m.shutdown_flushes.get(),
-            shed: m.shed.get(),
-            deadline_expired: m.deadline_expired.get(),
-            panics: m.panics.get(),
-            restarts: m.restarts.get(),
-            degraded: self.shared.degraded.load(Ordering::Acquire),
+            queries,
+            batches: queries,
+            shed: self.shed.get(),
+            deadline_expired: self.deadline_expired.get(),
+            panics: self.panics.get(),
             ..BatcherStats::default()
         }
-        .with_kernel_resolution()
     }
 
-    /// Contributes this batcher's metrics to a telemetry snapshot, labelled
-    /// by the served model's registry key.
+    /// Contributes this gate's metrics to a telemetry snapshot, labelled by
+    /// the served model's registry key.
     fn collect_telemetry(&self, snap: &mut TelemetrySnapshot) {
-        let model = self.shared.model_label().to_string();
-        let m = &self.shared.metrics;
-        let with_model = |extra: Option<(&'static str, &'static str)>| {
-            let mut labels = vec![("model", model.clone())];
-            if let Some((k, v)) = extra {
-                labels.push((k, v.to_string()));
-            }
-            labels
-        };
-        snap.push_counter(
-            "bellamy_serve_queries_total",
-            with_model(None),
-            "queries",
-            "Queries served through the micro-batcher.",
-            m.queries.get(),
-        );
-        snap.push_counter(
-            "bellamy_serve_batches_total",
-            with_model(None),
-            "batches",
-            "Batches flushed to the predictor.",
-            m.batches.get(),
-        );
-        for (reason, counter) in [
-            ("capacity", &m.capacity_flushes),
-            ("timeout", &m.timeout_flushes),
-            ("quiesce", &m.quiesce_flushes),
-            ("assist", &m.assist_flushes),
-            ("shutdown", &m.shutdown_flushes),
+        let labels = || vec![("model", self.model_label().to_string())];
+        for (name, unit, help, value) in [
+            (
+                "bellamy_serve_queries_total",
+                "queries",
+                "Single queries served.",
+                self.queries.get(),
+            ),
+            (
+                "bellamy_serve_shed_total",
+                "queries",
+                "Queries shed at admission (max_inflight reached).",
+                self.shed.get(),
+            ),
+            (
+                "bellamy_serve_deadline_expired_total",
+                "queries",
+                "Queries whose deadline budget was spent at admission.",
+                self.deadline_expired.get(),
+            ),
+            (
+                "bellamy_serve_panics_total",
+                "panics",
+                "Forward-pass panics caught (each failed only its own call).",
+                self.panics.get(),
+            ),
         ] {
-            snap.push_counter(
-                "bellamy_serve_flushes_total",
-                with_model(Some(("reason", reason))),
-                "flushes",
-                "Batch flushes by trigger reason.",
-                counter.get(),
-            );
+            snap.push_counter(name, labels(), unit, help, value);
         }
-        snap.push_counter(
-            "bellamy_serve_shed_total",
-            with_model(None),
-            "queries",
-            "Queries shed at admission (max_inflight reached).",
-            m.shed.get(),
-        );
-        snap.push_counter(
-            "bellamy_serve_deadline_expired_total",
-            with_model(None),
-            "queries",
-            "Queries revoked because their deadline budget elapsed.",
-            m.deadline_expired.get(),
-        );
-        snap.push_counter(
-            "bellamy_serve_panics_total",
-            with_model(None),
-            "panics",
-            "Forward-pass panics absorbed by the supervised loop.",
-            m.panics.get(),
-        );
-        snap.push_counter(
-            "bellamy_serve_restarts_total",
-            with_model(None),
-            "restarts",
-            "Serving-loop respawns after a panic.",
-            m.restarts.get(),
-        );
         snap.push_gauge(
-            "bellamy_serve_degraded",
-            with_model(None),
-            "",
-            "1 once repeated panics degraded this batcher to direct prediction.",
-            self.shared.degraded.load(Ordering::Acquire) as i64,
-        );
-        snap.push_gauge(
-            "bellamy_serve_queue_depth",
-            with_model(None),
+            "bellamy_serve_inflight",
+            labels(),
             "queries",
-            "Queries currently admitted (queued or mid-flush).",
-            self.shared.inflight.load(Ordering::Relaxed) as i64,
+            "Single queries currently admitted.",
+            self.inflight.load(Ordering::Relaxed) as i64,
         );
         snap.push_histogram(
             "bellamy_serve_submit_latency_seconds",
-            with_model(None),
+            labels(),
             "seconds",
-            "Submit-to-response latency, sampled 1 query in 8.",
-            m.submit_latency.snapshot(),
-        );
-        snap.push_histogram(
-            "bellamy_serve_flush_latency_seconds",
-            with_model(None),
-            "seconds",
-            "Per-batch forward-pass latency.",
-            m.flush_latency.snapshot(),
-        );
-        snap.push_histogram(
-            "bellamy_serve_batch_size",
-            with_model(None),
-            "queries",
-            "Distribution of claimed batch sizes.",
-            m.batch_size.snapshot(),
+            "Admission-to-return latency of single queries, sampled 1 in 8.",
+            self.latency.snapshot(),
         );
     }
 }
 
-/// Decrements the admission window on every `submit` exit — delivered,
-/// deadline-revoked, or failed — including panics propagating out of an
-/// assist flush.
+/// Releases one admission slot on every `predict` exit, including a
+/// panicking forward pass.
 struct AdmissionGuard<'a>(&'a AtomicU64);
 
 impl Drop for AdmissionGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-impl Drop for MicroBatcher {
-    fn drop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock();
-            q.shutdown = true;
-        }
-        // Wake the loop (to drain and exit) and any slot waiters (to error
-        // out); then `_pool` drops and joins the loop job.
-        self.shared.work.notify_all();
-        self.shared.space.notify_all();
-    }
-}
-
-/// Marks the batcher stopped when the serving loop exits — including by
-/// panic — so parked and future submitters error out instead of hanging.
-/// On a *degraded* exit the stragglers are served one final time (direct
-/// batch on this thread) instead of failed: their submitters enqueued
-/// before the degrade flag diverted traffic, and nobody else will ever
-/// claim them.
-struct LoopGuard(Arc<BatcherShared>);
-
-impl Drop for LoopGuard {
-    fn drop(&mut self) {
-        let degraded = self.0.degraded.load(Ordering::Acquire);
-        let drained = {
-            let mut q = self.0.queue.lock();
-            q.shutdown = true;
-            q.oldest = None;
-            std::mem::take(&mut q.pending)
-        };
-        if degraded {
-            serve_drained(&self.0, &drained);
-        } else {
-            for request in &drained {
-                // SAFETY: the submitter is still blocked in `submit`.
-                let slot = unsafe { &*request.slot };
-                slot.deliver(None);
-            }
-        }
-        self.0.space.notify_all();
-    }
-}
-
-/// Best-effort final drain: one direct batched pass over `requests`,
-/// delivering results — or panic-failures, should the model panic once
-/// more — so every straggler's submitter unblocks.
-fn serve_drained(shared: &BatcherShared, requests: &[Request]) {
-    if requests.is_empty() {
-        return;
-    }
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Predictor::with_thread_local(|p| {
-            let queries: Vec<PredictQuery<'_>> = requests
-                .iter()
-                .map(|r| PredictQuery {
-                    scale_out: r.scale_out,
-                    // SAFETY: the submitter is blocked in `submit` until
-                    // this drain delivers.
-                    props: unsafe { &*r.props },
-                })
-                .collect();
-            p.predict_batch(&shared.state, &queries).to_vec()
-        })
-    }));
-    match outcome {
-        Ok(results) => {
-            shared.metrics.batch_size.record(requests.len() as u64);
-            shared.metrics.queries.add(requests.len() as u64);
-            shared.metrics.batches.inc();
-            shared.metrics.shutdown_flushes.inc();
-            for (r, &pred) in requests.iter().zip(results.iter()) {
-                // SAFETY: as above — the submitter is blocked.
-                unsafe { &*r.slot }.deliver(Some(pred));
-            }
-        }
-        Err(_) => {
-            shared.metrics.panics.inc();
-            for r in requests {
-                // SAFETY: as above — the submitter is blocked.
-                unsafe { &*r.slot }.deliver_panicked();
-            }
-        }
-    }
-}
-
-/// Supervises the serving loop. A panicking forward pass has already
-/// failed its own batch (see `serve_rounds`); here the panic is absorbed,
-/// counted, and the loop respawned with capped exponential backoff — one
-/// bad batch never takes the service down. [`PANIC_DEGRADE_LIMIT`] panics
-/// within [`PANIC_WINDOW`] stop the respawning: the batcher *degrades* to
-/// direct per-caller prediction (reduced coalescing, but a deterministically
-/// panicking model fails only the callers that hit it, and a recovering one
-/// keeps serving) instead of burning a core on a crash loop.
-fn supervised_loop(shared: Arc<BatcherShared>) {
-    // The guard lives on the *supervisor* frame: an inner panic must not
-    // mark the batcher stopped — only a real exit (shutdown or degrade)
-    // drains stragglers and turns submitters away.
-    let _guard = LoopGuard(Arc::clone(&shared));
-    let mut recent: Vec<Instant> = Vec::new();
-    loop {
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| serve_rounds(&shared)));
-        match outcome {
-            // Clean shutdown; the guard drains any stragglers.
-            Ok(()) => return,
-            Err(_) => {
-                shared.metrics.panics.inc();
-                let now = Instant::now();
-                recent.retain(|t| now.duration_since(*t) <= PANIC_WINDOW);
-                recent.push(now);
-                if recent.len() >= PANIC_DEGRADE_LIMIT {
-                    // Divert future submitters to direct prediction, then
-                    // exit: the `LoopGuard` serves whatever is still queued
-                    // one final time on this thread.
-                    shared.degraded.store(true, Ordering::Release);
-                    telemetry::events().record(
-                        event_kind::BATCHER_DEGRADED,
-                        format!(
-                            "model `{}`: {} panics within {:?}; degraded to direct prediction",
-                            shared.model_label(),
-                            recent.len(),
-                            PANIC_WINDOW
-                        ),
-                    );
-                    return;
-                }
-                shared.metrics.restarts.inc();
-                telemetry::events().record(
-                    event_kind::LOOP_RESTART,
-                    format!(
-                        "model `{}`: serving loop respawned after panic {} in window",
-                        shared.model_label(),
-                        recent.len()
-                    ),
-                );
-                let exp = (recent.len() - 1).min(16) as u32;
-                let backoff = RESTART_BACKOFF_BASE
-                    .saturating_mul(1 << exp)
-                    .min(RESTART_BACKOFF_CAP);
-                std::thread::sleep(backoff);
-            }
-        }
-    }
-}
-
-/// The persistent serving loop: collect → flush → predict → deliver.
-/// Returns on shutdown; panics propagate to `supervised_loop` *after*
-/// failing the in-flight batch.
-fn serve_rounds(shared: &BatcherShared) {
-    let cap = shared.cfg.max_batch;
-    let eager = shared.cfg.policy == FlushPolicy::Eager;
-    let mut predictor = Predictor::new();
-    let mut processing: Vec<Request> = Vec::with_capacity(cap);
-    let mut queries: Vec<PredictQuery<'static>> = Vec::with_capacity(cap);
-    let mut results: Vec<f64> = Vec::with_capacity(cap);
-
-    loop {
-        // Collect until a flush condition holds. The lock is dropped
-        // between polls so submitters enqueue while we yield.
-        let mut idle_spins = 0usize;
-        let mut seen_len = 0usize;
-        let (mut q, reason) = loop {
-            let mut q = shared.queue.lock();
-            if q.shutdown {
-                if q.pending.is_empty() {
-                    drop(q);
-                    return;
-                }
-                break (q, FlushReason::Shutdown);
-            }
-            let len = q.pending.len();
-            if len >= cap {
-                break (q, FlushReason::Capacity);
-            }
-            if len == 0 {
-                seen_len = 0;
-                if idle_spins < IDLE_SPINS {
-                    idle_spins += 1;
-                    drop(q);
-                    std::thread::yield_now();
-                    continue;
-                }
-                // Traffic paused: park until a submitter notifies. The
-                // flag is set under the lock, so a submitter either sees
-                // it (and notifies) or pushed before we sleep (and we see
-                // the non-empty queue on the next iteration).
-                shared.loop_parked.store(true, Ordering::Release);
-                shared.work.wait(&mut q);
-                shared.loop_parked.store(false, Ordering::Release);
-                idle_spins = 0;
-                drop(q);
-                continue;
-            }
-            idle_spins = 0;
-            let deadline = q.oldest.expect("non-empty queue has an oldest") + shared.cfg.max_wait;
-            let now = Instant::now();
-            if now >= deadline {
-                break (q, FlushReason::Timeout);
-            }
-            if eager {
-                if len == seen_len {
-                    // One yield passed with no new arrival: quiesced.
-                    break (q, FlushReason::Quiesce);
-                }
-                seen_len = len;
-                drop(q);
-                std::thread::yield_now();
-            } else {
-                // Parked in the timed wait too: submitters must notify so
-                // a capacity fill flushes now, not at the deadline.
-                shared.loop_parked.store(true, Ordering::Release);
-                let _ = shared.work.wait_for(&mut q, deadline - now);
-                shared.loop_parked.store(false, Ordering::Release);
-                drop(q);
-            }
-        };
-        std::mem::swap(&mut q.pending, &mut processing);
-        q.oldest = None;
-        drop(q);
-        shared.space.notify_all();
-
-        // One batched forward pass for the whole flush. The 'static
-        // lifetime is a local fiction: the queries only live for this call,
-        // while every referenced caller is blocked in `submit`.
-        for request in &processing {
-            queries.push(PredictQuery {
-                scale_out: request.scale_out,
-                props: unsafe { &*request.props },
-            });
-        }
-        let flush_started = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = faults::SERVE_FLUSH.check();
-            results.extend_from_slice(predictor.predict_batch(&shared.state, &queries));
-        }));
-        if let Err(payload) = outcome {
-            // The claimed batch never reached delivery (delivery is the
-            // step after the forward pass). Fail every claimed submitter
-            // so no one hangs — `LoopGuard` only covers still-pending
-            // requests — then hand the panic to `supervised_loop`, which
-            // counts it and respawns this loop.
-            for request in &processing {
-                // SAFETY: the submitter is blocked in `submit`.
-                unsafe { &*request.slot }.deliver_panicked();
-            }
-            std::panic::resume_unwind(payload);
-        }
-        let flush_elapsed = flush_started.elapsed();
-        shared.record_flush(flush_elapsed);
-        shared.metrics.flush_latency.record_duration(flush_elapsed);
-        shared.metrics.batch_size.record(processing.len() as u64);
-
-        shared.metrics.queries.add(processing.len() as u64);
-        shared.metrics.batches.inc();
-        match reason {
-            FlushReason::Capacity => shared.metrics.capacity_flushes.inc(),
-            FlushReason::Timeout => shared.metrics.timeout_flushes.inc(),
-            FlushReason::Quiesce => shared.metrics.quiesce_flushes.inc(),
-            FlushReason::Shutdown => shared.metrics.shutdown_flushes.inc(),
-        };
-
-        for (request, &pred) in processing.iter().zip(results.iter()) {
-            // SAFETY: the submitter is blocked in `submit` until this
-            // delivery.
-            let slot = unsafe { &*request.slot };
-            slot.deliver(Some(pred));
-        }
-        results.clear();
-        queries.clear();
-        processing.clear();
     }
 }
 
@@ -1336,39 +368,27 @@ struct ServiceInner {
     hub: Arc<ModelHub>,
     batcher_cfg: BatcherConfig,
     finetune: FinetunePolicy,
-    /// One micro-batcher per served model, keyed by snapshot identity
-    /// (`Arc` address — stable because each batcher holds its state alive).
-    /// Created lazily on the first single-query `predict` through a client;
-    /// clients that only run batched calls never spawn one.
-    batchers: Mutex<HashMap<usize, Arc<MicroBatcher>>>,
+    /// One gate per served model, keyed by snapshot identity (`Arc`
+    /// address — stable because each gate holds its state alive). Created
+    /// lazily on the first single-query `predict` through a client.
+    gates: Mutex<HashMap<usize, Arc<Gate>>>,
 }
 
 impl ServiceInner {
-    fn batcher_for(self: &Arc<Self>, state: &Arc<ModelState>) -> Arc<MicroBatcher> {
+    fn gate_for(&self, state: &Arc<ModelState>) -> Arc<Gate> {
         let id = Arc::as_ptr(state) as usize;
-        let mut batchers = self.batchers.lock();
-        // Reap batchers no client references anymore (strong count 1 =
+        let mut gates = self.gates.lock();
+        // Reap gates no client references anymore (strong count 1 =
         // registry only; clients cache the Arc in their OnceLock, and the
         // map lock serializes every clone out of the registry, so the
         // check cannot race a new borrower). Without this, a long-running
-        // service creating clients per context would pin one serving
-        // thread + one ModelState per served snapshot forever.
-        let dead: Vec<usize> = batchers
-            .iter()
-            .filter(|(&key, batcher)| key != id && Arc::strong_count(batcher) == 1)
-            .map(|(&key, _)| key)
-            .collect();
-        let reaped: Vec<Arc<MicroBatcher>> =
-            dead.iter().filter_map(|key| batchers.remove(key)).collect();
-        let batcher =
-            Arc::clone(batchers.entry(id).or_insert_with(|| {
-                Arc::new(MicroBatcher::new(Arc::clone(state), self.batcher_cfg))
-            }));
-        drop(batchers);
-        // Dropping joins each reaped serving loop — off the lock, so other
-        // clients are never blocked on a thread wind-down.
-        drop(reaped);
-        batcher
+        // service creating clients per context would pin one ModelState
+        // per served snapshot forever.
+        gates.retain(|&key, gate| key == id || Arc::strong_count(gate) > 1);
+        let gate = gates
+            .entry(id)
+            .or_insert_with(|| Arc::new(Gate::new(Arc::clone(state), &self.batcher_cfg)));
+        Arc::clone(gate)
     }
 }
 
@@ -1407,7 +427,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Overrides the micro-batcher flush bounds.
+    /// Overrides the single-query serving limits (admission window and
+    /// default deadline budget).
     pub fn batcher(mut self, cfg: BatcherConfig) -> Self {
         self.batcher = Some(cfg);
         self
@@ -1425,8 +446,9 @@ impl ServiceBuilder {
     /// resolves once per process: a programmatic request made before the
     /// first kernel runs takes precedence over `BELLAMY_KERNEL`; after
     /// that, the standing resolution wins and this call has no effect.
-    /// Either way [`ModelClient::batcher_stats`] reports requested vs
-    /// resolved so a lost or degraded request is visible, and an
+    /// Either way `bellamy_linalg::kernels::resolution()` (and the
+    /// `bellamy_kernel_info` series of [`Service::telemetry`]) reports
+    /// requested vs resolved so a lost or degraded request is visible, and an
     /// unsupported tier logs a one-time warning while degrading
     /// (fma → simd → scalar) rather than failing the build.
     pub fn kernel_tier(mut self, tier: TierRequest) -> Self {
@@ -1458,13 +480,13 @@ impl ServiceBuilder {
                 hub,
                 batcher_cfg: self.batcher.unwrap_or_default(),
                 finetune: self.finetune.unwrap_or_default(),
-                batchers: Mutex::new(HashMap::new()),
+                gates: Mutex::new(HashMap::new()),
             }),
         })
     }
 }
 
-/// The serving front door: one shared hub, one micro-batcher per served
+/// The serving front door: one shared hub, one admission gate per served
 /// model, cheap [`ModelClient`] handles for callers. Cloning a `Service`
 /// clones a handle to the same service. See the module docs.
 #[derive(Clone)]
@@ -1497,15 +519,15 @@ impl Service {
     }
 
     /// A typed point-in-time snapshot of every metric this service can see:
-    /// per-model serve metrics (latency histograms, queue depth, shed /
-    /// deadline / panic / restart counts), hub recall metrics (per-mode
+    /// per-model serve metrics (latency histogram, in-flight count, shed /
+    /// deadline / panic counts), hub recall metrics (per-mode
     /// latency, retries, quarantines), process-wide predictor and train
     /// metrics, the kernel resolution, and the recent structured events.
     /// Render it with [`TelemetrySnapshot::to_json`] or
     /// [`TelemetrySnapshot::to_prometheus`].
     ///
-    /// Reading is lock-free on the hot-path atomics (the per-service batcher
-    /// registry lock is held only to walk the batcher list) and safe to call
+    /// Reading is lock-free on the hot-path atomics (the per-service gate
+    /// registry lock is held only to walk the gate list) and safe to call
     /// from a scrape loop at any frequency.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let mut snap = TelemetrySnapshot::new();
@@ -1535,9 +557,9 @@ impl Service {
         );
         self.inner.hub.collect_telemetry(&mut snap);
         {
-            let batchers = self.inner.batchers.lock();
-            for batcher in batchers.values() {
-                batcher.collect_telemetry(&mut snap);
+            let gates = self.inner.gates.lock();
+            for gate in gates.values() {
+                gate.collect_telemetry(&mut snap);
             }
         }
         let g = telemetry::global();
@@ -1639,41 +661,27 @@ impl Service {
 
     /// A client serving an arbitrary snapshot — models that live outside
     /// the hub (locally trained baselines, ad hoc states). Clients for the
-    /// same `Arc` share one micro-batcher.
+    /// same `Arc` share one admission gate and its counters.
     pub fn client_for_state(&self, state: Arc<ModelState>) -> ModelClient {
         ModelClient {
             state,
             service: Arc::clone(&self.inner),
-            batcher: OnceLock::new(),
+            gate: OnceLock::new(),
         }
     }
 }
 
-/// A cheap, cloneable handle serving one model through the service: single
-/// queries are micro-batched across all callers of that model; batched
-/// entry points run directly on this thread's predictor arena. Create via
-/// [`Service::client`] and friends; clone freely (clones share the same
-/// underlying state and batcher).
+/// A cheap, cloneable handle serving one model through the service: every
+/// call runs on the caller's thread, single queries through the model's
+/// shared admission gate. Create via [`Service::client`] and friends; clone
+/// freely (clones share the same underlying state and gate).
+#[derive(Clone)]
 pub struct ModelClient {
     state: Arc<ModelState>,
     service: Arc<ServiceInner>,
-    /// Lazily resolved micro-batcher (shared through the service registry,
-    /// cached here so steady-state submits skip the registry lock).
-    batcher: OnceLock<Arc<MicroBatcher>>,
-}
-
-impl Clone for ModelClient {
-    fn clone(&self) -> Self {
-        let batcher = OnceLock::new();
-        if let Some(b) = self.batcher.get() {
-            let _ = batcher.set(Arc::clone(b));
-        }
-        Self {
-            state: Arc::clone(&self.state),
-            service: Arc::clone(&self.service),
-            batcher,
-        }
-    }
+    /// Lazily resolved gate (shared through the service registry, cached
+    /// here so steady-state calls skip the registry lock).
+    gate: OnceLock<Arc<Gate>>,
 }
 
 impl std::fmt::Debug for ModelClient {
@@ -1696,47 +704,43 @@ impl ModelClient {
         self.state.registry_key()
     }
 
-    fn batcher(&self) -> &Arc<MicroBatcher> {
-        self.batcher
-            .get_or_init(|| self.service.batcher_for(&self.state))
+    fn gate(&self) -> &Arc<Gate> {
+        self.gate.get_or_init(|| self.service.gate_for(&self.state))
     }
 
     /// Predicts the runtime (seconds) for one scale-out in a described
-    /// context, routed through the cross-caller micro-batcher: concurrent
-    /// callers' queries coalesce into one batched forward pass, with
-    /// results bit-identical to a direct [`Predictor::predict_one`] call.
+    /// context on this thread, through the model's admission gate. The
+    /// value is bit-identical to a direct [`Predictor::predict_one`] call.
     /// Allocation-free at steady state.
     pub fn predict(&self, scale_out: f64, props: &ContextProperties) -> Result<f64, BellamyError> {
-        self.batcher().submit(scale_out, props)
+        let gate = self.gate();
+        gate.predict(scale_out, props, gate.deadline)
     }
 
     /// [`ModelClient::predict`] with an explicit deadline budget overriding
-    /// [`BatcherConfig::deadline`]. If the budget elapses while the query
-    /// is still queued (a full admission window ahead of it, a saturated
-    /// predictor), the query is revoked and
-    /// [`BellamyError::DeadlineExceeded`] returned; once a batch has
-    /// claimed the query, its result is returned even if delivery lands
-    /// marginally past the budget. See the module docs' failure-semantics
-    /// table.
+    /// [`BatcherConfig::deadline`]. The query is claimed the moment it is
+    /// admitted, so an admitted query returns its value even if the forward
+    /// pass ends past the budget; only a budget already spent at admission
+    /// (zero) returns [`BellamyError::DeadlineExceeded`]. See the module
+    /// docs' failure-semantics table.
     pub fn predict_with_deadline(
         &self,
         scale_out: f64,
         props: &ContextProperties,
         deadline: Duration,
     ) -> Result<f64, BellamyError> {
-        self.batcher()
-            .submit_with_deadline(scale_out, props, Some(deadline))
+        self.gate().predict(scale_out, props, Some(deadline))
     }
 
     /// Predicted runtimes for a caller-assembled batch, in query order.
-    /// Already batched, so it bypasses the micro-batcher and runs on this
-    /// thread's warm predictor arena.
+    /// Runs on this thread's warm predictor arena, without the admission
+    /// gate.
     pub fn predict_batch(&self, queries: &[PredictQuery<'_>]) -> Vec<f64> {
         Predictor::with_thread_local(|p| p.predict_batch(&self.state, queries).to_vec())
     }
 
     /// Predicted runtimes for one context swept over many scale-outs (the
-    /// §IV allocation-search shape). Bypasses the micro-batcher.
+    /// §IV allocation-search shape). Bypasses the admission gate.
     pub fn predict_sweep(&self, props: &ContextProperties, scale_outs: &[f64]) -> Vec<f64> {
         Predictor::with_thread_local(|p| p.predict_sweep(&self.state, props, scale_outs).to_vec())
     }
@@ -1777,20 +781,21 @@ impl ModelClient {
         )
     }
 
-    /// Micro-batcher counters for this model (zeros until the first
-    /// single-query [`ModelClient::predict`] — through *any* client of the
-    /// state — spins the batcher up).
+    /// Single-query counters for this model, shared by every client of its
+    /// state (zeros until the first [`ModelClient::predict`] through any of
+    /// them).
     pub fn batcher_stats(&self) -> BatcherStats {
-        if let Some(b) = self.batcher.get() {
-            return b.stats();
+        if let Some(gate) = self.gate.get() {
+            return gate.stats();
         }
-        // This handle never submitted, but a clone may have: consult the
-        // service registry without creating a batcher.
+        // This handle never predicted, but a clone may have: consult the
+        // service registry without creating a gate.
         let id = Arc::as_ptr(&self.state) as usize;
-        match self.service.batchers.lock().get(&id) {
-            Some(b) => b.stats(),
-            None => BatcherStats::default().with_kernel_resolution(),
-        }
+        self.service
+            .gates
+            .lock()
+            .get(&id)
+            .map_or_else(BatcherStats::default, |gate| gate.stats())
     }
 }
 
@@ -1820,8 +825,7 @@ mod tests {
     fn builder_defaults_and_overrides() {
         let service = Service::builder()
             .batcher(BatcherConfig {
-                max_batch: 8,
-                max_wait: Duration::from_millis(1),
+                max_inflight: 8,
                 ..BatcherConfig::default()
             })
             .finetune_policy(FinetunePolicy {
@@ -1830,9 +834,17 @@ mod tests {
             })
             .build()
             .expect("in-memory service");
-        assert_eq!(service.inner.batcher_cfg.max_batch, 8);
+        assert_eq!(service.inner.batcher_cfg.max_inflight, 8);
         assert_eq!(service.inner.finetune.seed, 42);
         assert_eq!(service.stats(), HubStats::default());
+        let state = tiny_state();
+        let gate = Gate::new(Arc::clone(&state), &service.inner.batcher_cfg);
+        assert_eq!(gate.max_inflight, 8);
+        assert_eq!(
+            Gate::new(state, &BatcherConfig::default()).max_inflight,
+            DEFAULT_MAX_INFLIGHT,
+            "0 means the fixed default window"
+        );
     }
 
     #[test]
@@ -1846,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn clients_for_one_state_share_a_batcher() {
+    fn clients_for_one_state_share_counters() {
         let service = Service::in_memory();
         let state = tiny_state();
         let props = ContextProperties {
@@ -1861,15 +873,13 @@ mod tests {
         let fresh = c.predict(4.0, &props).unwrap();
         assert_eq!(direct.to_bits(), clone_pred.to_bits());
         assert_eq!(direct.to_bits(), fresh.to_bits());
-        // All three handles route through one batcher.
-        assert!(Arc::ptr_eq(a.batcher(), b.batcher()));
-        assert!(Arc::ptr_eq(a.batcher(), c.batcher()));
         assert_eq!(a.batcher_stats().queries, 3);
-        assert_eq!(service.inner.batchers.lock().len(), 1);
+        assert_eq!(c.batcher_stats(), a.batcher_stats());
+        assert_eq!(service.inner.gates.lock().len(), 1);
     }
 
     #[test]
-    fn dead_batchers_are_reaped_when_new_ones_spin_up() {
+    fn dead_gates_are_reaped_when_new_ones_are_made() {
         let service = Service::in_memory();
         let props = ContextProperties {
             essential: vec![PropertyValue::Number(1024)],
@@ -1878,30 +888,15 @@ mod tests {
         {
             let first = service.client_for_state(tiny_state());
             first.predict(4.0, &props).unwrap();
-            assert_eq!(service.inner.batchers.lock().len(), 1);
-        } // `first` (and its cached batcher Arc) dropped: registry-only now.
+            assert_eq!(service.inner.gates.lock().len(), 1);
+        } // `first` (and its cached gate Arc) dropped: registry-only now.
         let second = service.client_for_state(tiny_state());
         second.predict(4.0, &props).unwrap();
         assert_eq!(
-            service.inner.batchers.lock().len(),
+            service.inner.gates.lock().len(),
             1,
-            "spinning up a new batcher must reap client-less ones"
+            "making a new gate must reap client-less ones"
         );
-    }
-
-    #[test]
-    fn submit_after_shutdown_errors_instead_of_hanging() {
-        let state = tiny_state();
-        let batcher = MicroBatcher::new(state, BatcherConfig::default());
-        batcher.shared.queue.lock().shutdown = true;
-        let props = ContextProperties {
-            essential: vec![PropertyValue::Number(7)],
-            optional: vec![],
-        };
-        assert!(matches!(
-            batcher.submit(4.0, &props),
-            Err(BellamyError::ServiceStopped)
-        ));
     }
 
     #[test]

@@ -146,6 +146,12 @@ impl Pretrainer {
         }
     }
 
+    /// The worker team running this trainer's data-parallel steps (for
+    /// per-thread instrumentation through [`WorkTeam::broadcast`]).
+    pub fn team(&self) -> &WorkTeam {
+        &self.team
+    }
+
     /// Number of encoded training samples.
     pub fn n_samples(&self) -> usize {
         self.encoded.len()

@@ -1,9 +1,9 @@
 //! Fault-injection tests for the serving stack's robustness layer: a
-//! panicking forward pass fails only its own batch and the supervised loop
-//! restarts (bit-identical afterwards); repeated panics degrade to direct
-//! per-caller prediction; overload sheds at the admission window and
-//! recovers; deadline-expired submitters never race the deliverer; corrupt
-//! checkpoints are quarantined instead of poisoning their key forever.
+//! panicking forward pass fails only its own call and the next call on the
+//! same thread is bit-identical; overload sheds at the admission window and
+//! recovers; a deadline budget fails a call only when it is already spent
+//! at admission; corrupt checkpoints are quarantined instead of poisoning
+//! their key forever.
 //!
 //! The failpoints (`bellamy_core::faults`) are process-global statics, so
 //! every test that arms one holds [`fault_lock`] for its whole body — the
@@ -12,11 +12,10 @@
 
 use bellamy_core::faults::{self, Fault, FaultPlan};
 use bellamy_core::hub::HubError;
-use bellamy_core::serve::PANIC_DEGRADE_LIMIT;
 use bellamy_core::train::pretrain;
 use bellamy_core::{
-    BatcherConfig, Bellamy, BellamyConfig, BellamyError, ContextProperties, FlushPolicy, ModelHub,
-    ModelKey, ModelState, Predictor, PretrainConfig, Service, TrainingSample,
+    BatcherConfig, Bellamy, BellamyConfig, BellamyError, ContextProperties, ModelHub, ModelKey,
+    ModelState, Predictor, PretrainConfig, Service, TrainingSample,
 };
 use bellamy_encoding::PropertyValue;
 use bellamy_nn::CheckpointError;
@@ -69,114 +68,87 @@ fn direct_bits(state: &Arc<ModelState>, scale_out: f64, props: &ContextPropertie
     Predictor::with_thread_local(|p| p.predict_one(state, scale_out, props)).to_bits()
 }
 
-/// A deadline-policy service (all flushing through the supervised loop, no
-/// caller assists — panics must land on the loop for these tests).
-fn loop_only_service(cfg: BatcherConfig) -> Service {
+fn service(cfg: BatcherConfig) -> Service {
     Service::builder()
-        .batcher(BatcherConfig {
-            policy: FlushPolicy::Deadline,
-            ..cfg
-        })
+        .batcher(cfg)
         .build()
         .expect("in-memory service")
 }
 
 #[test]
-fn panic_mid_batch_fails_only_that_batch_and_the_loop_restarts() {
+fn panic_fails_only_its_own_call_and_the_next_call_is_bit_identical() {
     let _serial = fault_lock();
     let (state, samples) = pretrained();
-    let service = loop_only_service(BatcherConfig {
-        max_batch: 4,
-        max_wait: Duration::from_micros(200),
-        ..BatcherConfig::default()
-    });
-    let client = service.client_for_state(Arc::clone(&state));
+    let client = service(BatcherConfig::default()).client_for_state(Arc::clone(&state));
     let props = &samples[0].props;
+    let expected = direct_bits(&state, 4.0, props);
 
-    let _armed = faults::SERVE_FLUSH.arm(FaultPlan::once(Fault::Panic));
+    // The failpoint fires inside the thread's predictor borrow, so the
+    // panic unwinds out of a predictor that is mid-call.
+    let _armed = faults::SERVE_PREDICT.arm(FaultPlan::once(Fault::Panic));
     assert!(
         matches!(client.predict(4.0, props), Err(BellamyError::BatchPanicked)),
-        "the query in the panicked batch must get the typed, retryable error"
+        "the panicked call must get the typed, retryable error"
     );
 
-    // The loop restarted: the very next query serves normally and stays
-    // bit-identical to a direct predictor call.
-    let after = client.predict(4.0, props).expect("restarted loop serves");
-    assert_eq!(after.to_bits(), direct_bits(&state, 4.0, props));
+    // Same thread, same thread-local predictor: the next calls serve
+    // normally and stay bit-identical to a direct predictor call.
+    let after = client.predict(4.0, props).expect("next call serves");
+    assert_eq!(after.to_bits(), expected);
+    assert_eq!(client.predict_sweep(props, &[4.0])[0].to_bits(), expected);
 
     let stats = client.batcher_stats();
     assert_eq!(stats.panics, 1);
-    assert_eq!(stats.restarts, 1);
-    assert!(!stats.degraded, "one panic must not degrade the batcher");
-}
+    assert_eq!(stats.queries, 1, "the panicked call is not a served query");
+    assert_eq!(stats.restarts, 0);
 
-#[test]
-fn repeated_panics_degrade_to_direct_serving() {
-    let _serial = fault_lock();
-    let (state, samples) = pretrained();
-    let service = loop_only_service(BatcherConfig {
-        max_batch: 4,
-        max_wait: Duration::from_micros(200),
-        ..BatcherConfig::default()
-    });
-    let client = service.client_for_state(Arc::clone(&state));
-    let props = &samples[1].props;
-
-    let _armed =
-        faults::SERVE_FLUSH.arm(FaultPlan::times(Fault::Panic, PANIC_DEGRADE_LIMIT as u64));
-    for i in 0..PANIC_DEGRADE_LIMIT {
-        assert!(
-            matches!(client.predict(6.0, props), Err(BellamyError::BatchPanicked)),
-            "panic {i} must fail its own batch"
-        );
-    }
-
-    // The degrade threshold is reached: serving continues *directly* with
-    // values bit-identical to the batched path.
-    let after = client.predict(6.0, props).expect("degraded mode serves");
-    assert_eq!(after.to_bits(), direct_bits(&state, 6.0, props));
-    let stats = client.batcher_stats();
-    assert!(stats.degraded, "batcher must report degraded mode");
-    assert_eq!(stats.panics, PANIC_DEGRADE_LIMIT as u64);
-    assert_eq!(stats.restarts, PANIC_DEGRADE_LIMIT as u64 - 1);
-
-    // Degraded serving works from many threads at once.
-    let ok = AtomicU64::new(0);
+    // Other threads never see the panic: a panic on one caller's thread
+    // fails that call only.
+    let _armed = faults::SERVE_PREDICT.arm(FaultPlan::once(Fault::Panic));
+    let failed = AtomicU64::new(0);
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
                 for _ in 0..8 {
-                    let got = client.predict(6.0, props).expect("degraded predict");
-                    assert_eq!(got.to_bits(), direct_bits(&state, 6.0, props));
-                    ok.fetch_add(1, Ordering::Relaxed);
+                    match client.predict(4.0, props) {
+                        Ok(v) => assert_eq!(v.to_bits(), expected),
+                        Err(BellamyError::BatchPanicked) => {
+                            failed.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(other) => panic!("unexpected error: {other}"),
+                    }
                 }
             });
         }
     });
-    assert_eq!(ok.load(Ordering::Relaxed), 32);
+    assert_eq!(
+        failed.load(Ordering::Relaxed),
+        1,
+        "one injected panic, one failed call"
+    );
+    let stats = client.batcher_stats();
+    assert_eq!((stats.panics, stats.queries), (2, 1 + 31));
 }
 
 #[test]
 fn overload_sheds_at_the_admission_window_and_recovers() {
     let _serial = fault_lock();
     let (state, samples) = pretrained();
-    let service = loop_only_service(BatcherConfig {
-        max_batch: 2,
-        max_wait: Duration::from_micros(500),
+    let client = service(BatcherConfig {
         max_inflight: 4,
         ..BatcherConfig::default()
-    });
-    let client = service.client_for_state(Arc::clone(&state));
+    })
+    .client_for_state(Arc::clone(&state));
     let props = &samples[2].props;
     let expected = direct_bits(&state, 8.0, props);
 
     let shed = AtomicU64::new(0);
     let served = AtomicU64::new(0);
     {
-        // A slow model: each flush takes ~20ms, so 16 simultaneous callers
-        // pile far past the window of 4.
+        // A slow model: each predict takes ~50ms, so 16 simultaneous
+        // callers pile far past the window of 4.
         let _armed =
-            faults::SERVE_FLUSH.arm(FaultPlan::always(Fault::Delay(Duration::from_millis(20))));
+            faults::SERVE_PREDICT.arm(FaultPlan::always(Fault::Delay(Duration::from_millis(50))));
         let barrier = Barrier::new(16);
         std::thread::scope(|scope| {
             for _ in 0..16 {
@@ -188,7 +160,7 @@ fn overload_sheds_at_the_admission_window_and_recovers() {
                             served.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(BellamyError::Overloaded { retry_after_hint }) => {
-                            assert!(retry_after_hint > Duration::ZERO);
+                            assert!(retry_after_hint >= Duration::from_micros(50));
                             shed.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(other) => panic!("unexpected error under overload: {other}"),
@@ -203,6 +175,7 @@ fn overload_sheds_at_the_admission_window_and_recovers() {
     assert!(served > 0, "admitted callers must still be served");
     let stats = client.batcher_stats();
     assert_eq!(stats.shed, shed);
+    assert_eq!(stats.queries, served);
 
     // The overload was load, not damage: with the slow-model fault gone the
     // next query is admitted and served normally.
@@ -212,42 +185,47 @@ fn overload_sheds_at_the_admission_window_and_recovers() {
 }
 
 #[test]
-fn deadline_expiry_never_races_the_deliverer() {
+fn deadline_fails_only_a_budget_spent_at_admission() {
     let _serial = fault_lock();
     let (state, samples) = pretrained();
-    let service = loop_only_service(BatcherConfig {
-        max_batch: 64,
-        max_wait: Duration::from_micros(300),
-        ..BatcherConfig::default()
-    });
-    let client = service.client_for_state(Arc::clone(&state));
+    let client = service(BatcherConfig::default()).client_for_state(Arc::clone(&state));
     let props = &samples[0].props;
     let expected = direct_bits(&state, 5.0, props);
 
-    // Every flush takes ≥1ms while most budgets are far shorter: expiry
-    // constantly races batch claims. The revocation contract says every
-    // outcome is either a bit-identical result or a clean DeadlineExceeded
-    // — never a hang, a stale read, or a crash (a revoked slot touched by
-    // the deliverer would be a use-after-free; run under the release-mode
-    // stress CI job to shake the interleavings).
-    let _armed = faults::SERVE_FLUSH.arm(FaultPlan::always(Fault::Delay(Duration::from_millis(1))));
+    // A zero budget is spent before admission.
+    assert!(matches!(
+        client.predict_with_deadline(5.0, props, Duration::ZERO),
+        Err(BellamyError::DeadlineExceeded)
+    ));
+
+    // An admitted query is claimed at once, so it returns its value even
+    // when a slow model finishes it far past the budget.
+    {
+        let _armed =
+            faults::SERVE_PREDICT.arm(FaultPlan::always(Fault::Delay(Duration::from_millis(5))));
+        let late = client
+            .predict_with_deadline(5.0, props, Duration::from_micros(100))
+            .expect("an admitted query is delivered");
+        assert_eq!(late.to_bits(), expected);
+    }
+
+    // Under concurrency the outcome is exact: every zero budget expires,
+    // every other budget is served bit-identically.
     let iterations: u64 = if cfg!(debug_assertions) { 40 } else { 150 };
     let expired = AtomicU64::new(0);
-    let delivered = AtomicU64::new(0);
     std::thread::scope(|scope| {
         for t in 0..8u64 {
-            let (expired, delivered) = (&expired, &delivered);
-            let client = &client;
+            let (expired, client) = (&expired, &client);
             scope.spawn(move || {
                 for i in 0..iterations {
-                    // Budgets straddle the flush time so both outcomes occur.
-                    let budget = Duration::from_micros(100 + 150 * ((t + i) % 5));
+                    let budget = Duration::from_micros(150 * ((t + i) % 5));
                     match client.predict_with_deadline(5.0, props, budget) {
                         Ok(v) => {
+                            assert!(!budget.is_zero());
                             assert_eq!(v.to_bits(), expected);
-                            delivered.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(BellamyError::DeadlineExceeded) => {
+                            assert!(budget.is_zero());
                             expired.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(other) => panic!("unexpected error: {other}"),
@@ -256,20 +234,27 @@ fn deadline_expiry_never_races_the_deliverer() {
             });
         }
     });
-    let (expired, delivered) = (
-        expired.load(Ordering::Relaxed),
-        delivered.load(Ordering::Relaxed),
-    );
-    assert_eq!(expired + delivered, 8 * iterations);
-    assert!(
-        expired > 0,
-        "sub-flush budgets against a 1ms flush must expire sometimes"
-    );
-    assert_eq!(client.batcher_stats().deadline_expired, expired);
+    let expired = expired.load(Ordering::Relaxed);
+    assert_eq!(expired, 8 * iterations / 5);
+    let stats = client.batcher_stats();
+    assert_eq!(stats.deadline_expired, 1 + expired);
+    assert_eq!(stats.queries, 1 + 8 * iterations - expired);
 
-    // Deadline-free serving is untouched afterwards.
-    let after = client.predict(5.0, props).expect("no-deadline predict");
-    assert_eq!(after.to_bits(), expected);
+    // The configured default budget applies to plain `predict`; an explicit
+    // budget overrides it.
+    let strict = service(BatcherConfig {
+        deadline: Some(Duration::ZERO),
+        ..BatcherConfig::default()
+    })
+    .client_for_state(Arc::clone(&state));
+    assert!(matches!(
+        strict.predict(5.0, props),
+        Err(BellamyError::DeadlineExceeded)
+    ));
+    let served = strict
+        .predict_with_deadline(5.0, props, Duration::from_millis(1))
+        .expect("explicit budget overrides the default");
+    assert_eq!(served.to_bits(), expected);
 }
 
 #[test]

@@ -88,10 +88,11 @@ fn child_emit_fma_e2e() {
     let key = ModelKey::new("grep", "runtime", &BellamyConfig::default());
     let client = service.publish(&key, &model).unwrap();
 
-    let stats = client.batcher_stats();
+    let res = bellamy_linalg::kernels::resolution();
     println!(
         "{TAG} kernel {} {}",
-        stats.kernel_requested, stats.kernel_resolved
+        res.requested_name(),
+        res.resolved_name()
     );
 
     let mut abs_err_sum = 0.0;

@@ -11,12 +11,11 @@
 
 use bellamy_core::train::pretrain;
 use bellamy_core::{
-    event_kind, BatcherConfig, Bellamy, BellamyConfig, ContextProperties, FlushPolicy, HubError,
-    ModelKey, ModelState, PretrainConfig, Service, TrainingSample,
+    event_kind, Bellamy, BellamyConfig, ContextProperties, HubError, ModelKey, ModelState,
+    PretrainConfig, Service, TrainingSample,
 };
 use bellamy_encoding::PropertyValue;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A small deterministic corpus over a few distinct contexts.
 fn corpus() -> Vec<TrainingSample> {
@@ -67,12 +66,6 @@ fn snapshot_exposes_serve_hub_train_and_kernel_metrics() {
     // metrics) and persists a checkpoint for the disk-recall leg below.
     let service = Service::builder()
         .hub_dir(&dir)
-        .batcher(BatcherConfig {
-            max_batch: 4,
-            max_wait: Duration::from_micros(500),
-            policy: FlushPolicy::Deadline,
-            ..BatcherConfig::default()
-        })
         .build()
         .expect("disk-backed service");
     let client = service
@@ -85,23 +78,14 @@ fn snapshot_exposes_serve_hub_train_and_kernel_metrics() {
 
     let snap = service.telemetry();
 
-    // Serve path: exact per-service counters, latency and batch-size
-    // histograms, robustness counters, queue depth.
+    // Serve path: exact per-service counters, the latency histogram,
+    // robustness counters, in-flight count.
     assert_eq!(snap.counter("bellamy_serve_queries_total"), Some(queries));
-    let stats = client.batcher_stats();
     assert_eq!(
-        snap.counter("bellamy_serve_batches_total"),
-        Some(stats.batches),
+        client.batcher_stats().queries,
+        queries,
         "telemetry and BatcherStats must read the same atomics"
     );
-    let flushes: u64 = ["capacity", "timeout", "quiesce", "assist", "shutdown"]
-        .iter()
-        .map(|reason| {
-            snap.counter_with("bellamy_serve_flushes_total", "reason", reason)
-                .unwrap_or_else(|| panic!("missing flush reason {reason}"))
-        })
-        .sum();
-    assert_eq!(flushes, stats.batches, "every batch has one flush reason");
     let submit = snap
         .histogram("bellamy_serve_submit_latency_seconds")
         .expect("submit latency histogram");
@@ -113,20 +97,14 @@ fn snapshot_exposes_serve_hub_train_and_kernel_metrics() {
         submit.quantile(0.5) <= submit.quantile(0.99),
         "p50 must not exceed p99"
     );
-    let batch_size = snap
-        .histogram("bellamy_serve_batch_size")
-        .expect("batch size histogram");
-    assert_eq!(batch_size.count(), stats.batches);
     for name in [
         "bellamy_serve_shed_total",
         "bellamy_serve_deadline_expired_total",
         "bellamy_serve_panics_total",
-        "bellamy_serve_restarts_total",
     ] {
         assert_eq!(snap.counter(name), Some(0), "{name} on a healthy run");
     }
-    assert_eq!(snap.gauge("bellamy_serve_queue_depth"), Some(0));
-    assert_eq!(snap.gauge("bellamy_serve_degraded"), Some(0));
+    assert_eq!(snap.gauge("bellamy_serve_inflight"), Some(0));
 
     // Hub: the miss pretrained exactly once; no disk recall yet.
     assert_eq!(snap.counter("bellamy_hub_pretrains_total"), Some(1));

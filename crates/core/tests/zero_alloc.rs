@@ -11,33 +11,75 @@
 //! single-`predict` calls must not allocate. The telemetry instrumentation
 //! added to these paths (counters, log₂ latency histograms) is always on,
 //! so every window below also proves the record path allocation-free.
+//!
+//! Counting is per test, not per process: an allocation is charged to the
+//! counter its thread is enrolled in, and each test enrolls only its own
+//! thread (plus, for the data-parallel step, its worker team). Tests
+//! running in parallel therefore never see each other's allocations, and
+//! every window is exact at any `--test-threads`.
 
 use bellamy_core::train::Pretrainer;
 use bellamy_core::{
-    BatcherConfig, Bellamy, BellamyConfig, ContextProperties, FlushPolicy, ModelHub, ModelKey,
-    ModelState, PredictQuery, Predictor, PretrainConfig, RecallMode, Service, TrainingSample,
+    Bellamy, BellamyConfig, ContextProperties, ModelHub, ModelKey, ModelState, PredictQuery,
+    Predictor, PretrainConfig, RecallMode, Service, TrainingSample,
 };
 use bellamy_encoding::PropertyValue;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+thread_local! {
+    /// The counter this thread's allocations are charged to; `None` for
+    /// threads no test enrolled (the harness, sibling tests' helpers).
+    static SINK: Cell<Option<&'static AtomicU64>> = const { Cell::new(None) };
+}
+
+fn charge() {
+    // `try_with`: an allocation during thread teardown is simply not
+    // charged.
+    let _ = SINK.try_with(|sink| {
+        if let Some(counter) = sink.get() {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+}
+
+/// One test's allocation counter, charged by every thread enrolled in it.
+struct Allocations(&'static AtomicU64);
+
+impl Allocations {
+    /// A fresh counter with the calling thread enrolled. The counter is
+    /// leaked (8 bytes) so enrolled helper threads can never outlive it.
+    fn enroll() -> Self {
+        let allocs = Self(Box::leak(Box::new(AtomicU64::new(0))));
+        allocs.enroll_current_thread();
+        allocs
+    }
+
+    fn enroll_current_thread(&self) {
+        SINK.with(|sink| sink.set(Some(self.0)));
+    }
+
+    fn count(&self) -> u64 {
+        self.0.load(Ordering::SeqCst)
+    }
+}
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        charge();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        charge();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        charge();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -78,17 +120,21 @@ fn samples(n: usize) -> Vec<TrainingSample> {
 }
 
 fn allocations_during_epochs(cfg: &PretrainConfig, n_samples: usize, warmup: usize) -> u64 {
+    let allocs = Allocations::enroll();
     let samples = samples(n_samples);
     let mut model = Bellamy::new(BellamyConfig::default(), 7);
     let mut trainer = Pretrainer::new(&mut model, &samples, cfg, 13);
+    // The worker team's helpers run shards of every step: their
+    // allocations belong to this window too.
+    trainer.team().broadcast(|| allocs.enroll_current_thread());
     for _ in 0..warmup {
         trainer.run_epoch(&mut model);
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocs.count();
     for _ in 0..5 {
         trainer.run_epoch(&mut model);
     }
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    allocs.count() - before
 }
 
 #[test]
@@ -155,6 +201,7 @@ fn fitted_state_and_samples() -> (std::sync::Arc<ModelState>, Vec<TrainingSample
 
 #[test]
 fn steady_state_batched_predict_is_allocation_free() {
+    let allocs = Allocations::enroll();
     let (state, samples) = fitted_state_and_samples();
     let queries: Vec<PredictQuery<'_>> = samples
         .iter()
@@ -168,28 +215,29 @@ fn steady_state_batched_predict_is_allocation_free() {
     for _ in 0..2 {
         predictor.predict_batch(&state, &queries);
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocs.count();
     for _ in 0..10 {
         let preds = predictor.predict_batch(&state, &queries);
         assert_eq!(preds.len(), queries.len());
     }
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    assert_eq!(allocs, 0, "steady-state predict_batch must not allocate");
+    let window = allocs.count() - before;
+    assert_eq!(window, 0, "steady-state predict_batch must not allocate");
 }
 
 #[test]
 fn steady_state_sweep_and_single_predict_are_allocation_free() {
+    let allocs = Allocations::enroll();
     let (state, samples) = fitted_state_and_samples();
     let props = samples[0].props.clone();
     let xs: Vec<f64> = (2..=12).map(|x| x as f64).collect();
     let mut predictor = Predictor::new();
     predictor.predict_sweep(&state, &props, &xs);
     predictor.predict_one(&state, 6.0, &props);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocs.count();
     for _ in 0..10 {
         predictor.predict_sweep(&state, &props, &xs);
     }
-    let sweep_allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let sweep_allocs = allocs.count() - before;
     assert_eq!(
         sweep_allocs, 0,
         "steady-state predict_sweep must not allocate"
@@ -198,11 +246,11 @@ fn steady_state_sweep_and_single_predict_are_allocation_free() {
     // The alternating sweep/single shapes are both pooled now; the single-
     // query path (what `ModelState::predict` wraps) must also be free.
     predictor.predict_one(&state, 6.0, &props);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocs.count();
     for _ in 0..10 {
         predictor.predict_one(&state, 6.0, &props);
     }
-    let single_allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let single_allocs = allocs.count() - before;
     assert_eq!(
         single_allocs, 0,
         "steady-state single-query predict must not allocate"
@@ -211,6 +259,7 @@ fn steady_state_sweep_and_single_predict_are_allocation_free() {
 
 #[test]
 fn steady_state_predict_on_a_mapped_state_is_allocation_free() {
+    let allocs = Allocations::enroll();
     // Weights recalled through the mmap path live in borrowed storage, not
     // an owned buffer — the kernels must not care. After warm-up, batched
     // prediction over a *mapped* state must be exactly as allocation-free
@@ -242,64 +291,60 @@ fn steady_state_predict_on_a_mapped_state_is_allocation_free() {
     for _ in 0..2 {
         predictor.predict_batch(&state, &queries);
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocs.count();
     for _ in 0..10 {
         let preds = predictor.predict_batch(&state, &queries);
         assert_eq!(preds.len(), queries.len());
     }
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let window = allocs.count() - before;
     assert_eq!(
-        allocs, 0,
+        window, 0,
         "steady-state predict over mapped weights must not allocate"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn steady_state_micro_batched_submit_is_allocation_free() {
-    // The serve front door's single-query path: submit into the pending
-    // ring (preallocated), park on a stack slot, serving loop flushes
-    // through a warm predictor, result lands back in the slot. After the
-    // warm-up sized the arena, pool matrices, and the shared encoding
-    // cache, a steady-state submit must not touch the allocator — on the
-    // submitting side *or* inside the serving loop (the counter is global,
-    // so this window covers both threads). The path is fully instrumented
-    // (telemetry counters, the submit-latency and batch-size histograms
-    // with timing enabled by default), so this also proves the record path
-    // is the promised single `fetch_add` — no boxing, no formatting.
+fn steady_state_client_predict_is_allocation_free() {
+    // The serve front door's single-query path, all on this thread:
+    // admission (one `fetch_add`, released by an RAII guard), `catch_unwind`
+    // around the thread-local predictor, the served-query counter, and the
+    // sampled latency histogram with its EWMA (timing is on by default).
+    // After warm-up sized the arena and pool matrices, filled the shared
+    // encoding cache and registered the model's gate, a steady-state
+    // predict must not touch the allocator. The 16-call window holds two
+    // sampled latency records, so it also proves the record path is the
+    // promised single `fetch_add` — no boxing, no formatting.
+    let allocs = Allocations::enroll();
     let (state, samples) = fitted_state_and_samples();
     let props = samples[0].props.clone();
-    let service = Service::builder()
-        .batcher(BatcherConfig {
-            max_batch: 4,
-            // Deadline policy with a zero deadline: the serving loop
-            // flushes every submission immediately — deterministic 1-query
-            // batches through the loop alone, so the warm-up covers
-            // exactly the steady-state path.
-            max_wait: std::time::Duration::ZERO,
-            policy: FlushPolicy::Deadline,
-            ..BatcherConfig::default()
-        })
-        .build()
-        .expect("in-memory service");
+    let service = Service::in_memory();
     let client = service.client_for_state(state);
     for _ in 0..4 {
         client.predict(6.0, &props).expect("warm-up");
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..10 {
+    let before = allocs.count();
+    for _ in 0..16 {
         let pred = client.predict(6.0, &props).expect("steady state");
         assert!(pred.is_finite());
     }
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let window = allocs.count() - before;
     assert_eq!(
-        allocs, 0,
-        "steady-state micro-batched submit path must not allocate"
+        window, 0,
+        "steady-state client predict path must not allocate"
     );
+    assert_eq!(client.batcher_stats().queries, 20);
+    let sampled = service
+        .telemetry()
+        .histogram("bellamy_serve_submit_latency_seconds")
+        .expect("latency histogram")
+        .count();
+    assert_eq!(sampled, 20u64.div_ceil(8), "latency sampled 1 query in 8");
 }
 
 #[test]
 fn steady_state_instrumented_memory_recall_is_allocation_free() {
+    let allocs = Allocations::enroll();
     // Hub recalls are instrumented (telemetry counters on every path, a
     // latency histogram on disk recalls). The memory-hit path — the one
     // serving loops lean on per request — must stay allocation-free: a
@@ -314,25 +359,14 @@ fn steady_state_instrumented_memory_recall_is_allocation_free() {
     for _ in 0..2 {
         hub.recall(&key).unwrap();
     }
-    // The counter is process-global, so the window can overlap sibling
-    // tests' allocation-heavy setup; an allocating recall would allocate
-    // in *every* window, so one quiet window is proof (same pattern as the
-    // fast-tier kernel test).
-    let mut allocs = u64::MAX;
-    for _ in 0..50 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for _ in 0..10 {
-            let state = hub.recall(&key).expect("registered key");
-            drop(state);
-        }
-        allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
-        if allocs == 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
+    let before = allocs.count();
+    for _ in 0..10 {
+        let state = hub.recall(&key).expect("registered key");
+        drop(state);
     }
     assert_eq!(
-        allocs, 0,
+        allocs.count() - before,
+        0,
         "instrumented steady-state memory recall must not allocate"
     );
     assert!(
@@ -343,6 +377,7 @@ fn steady_state_instrumented_memory_recall_is_allocation_free() {
 
 #[test]
 fn kernel_dispatch_is_allocation_free_in_steady_state() {
+    let allocs = Allocations::enroll();
     // The SIMD dispatch layer resolves the kernel table once (a `OnceLock`
     // the first call may initialize — that's warm-up); after that, routing
     // every matrix operation through the table must not touch the
@@ -360,7 +395,7 @@ fn kernel_dispatch_is_allocation_free_in_steady_state() {
     let _ = kernels::active_backend();
     a.matmul_into(&b, &mut out);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocs.count();
     for _ in 0..10 {
         a.matmul_into(&b, &mut out);
         out.add_into(&c, &mut acc);
@@ -369,9 +404,9 @@ fn kernel_dispatch_is_allocation_free_in_steady_state() {
         acc.scale_into(0.5, &mut out);
         acc.axpy(1.25, &out);
     }
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let window = allocs.count() - before;
     assert_eq!(
-        allocs,
+        window,
         0,
         "kernel dispatch must not allocate in steady state (backend: {})",
         kernels::backend_name()
@@ -380,6 +415,7 @@ fn kernel_dispatch_is_allocation_free_in_steady_state() {
 
 #[test]
 fn fast_tier_kernels_are_allocation_free_in_steady_state() {
+    let allocs = Allocations::enroll();
     // The Fast (FMA) table must inherit the zero-allocation property of the
     // Exact tiers: tier selection changes rounding, never memory behavior.
     // The table is driven directly (dispatch is process-wide and this
@@ -405,38 +441,29 @@ fn fast_tier_kernels_are_allocation_free_in_steady_state() {
     // feature detection inside `fma()` has already run above).
     fast.matmul(&a, &b, &mut out, m, k, n);
 
-    // The counter is process-global and this test has no slow setup phase,
-    // so its measurement window can overlap the allocation-heavy setup of
-    // sibling tests running in parallel. A kernel that allocates does so
-    // on *every* call, so retry the window a few times: one quiet window
-    // proves the kernels clean, persistent counts across all windows would
-    // still fail loudly.
-    let mut allocs = u64::MAX;
-    for _ in 0..50 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for _ in 0..10 {
-            fast.matmul(&a, &b, &mut out, m, k, n);
-            fast.matmul_tb(&a, &bt, &mut out, m, k, n);
-            fast.ta_matmul(&at, &b, &mut out, k, m, n);
-            fast.matmul_bias_rowapply(&a, &b, Some(&bias), &mut out, m, k, n, &mut |row| {
-                for v in row.iter_mut() {
-                    *v *= 0.5;
-                }
-            });
-            fast.axpy(1.25, &out, &mut y);
-            fast.add(&out, &y, &mut sum); // shared Exact elementwise entry
-        }
-        allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
-        if allocs == 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
+    let before = allocs.count();
+    for _ in 0..10 {
+        fast.matmul(&a, &b, &mut out, m, k, n);
+        fast.matmul_tb(&a, &bt, &mut out, m, k, n);
+        fast.ta_matmul(&at, &b, &mut out, k, m, n);
+        fast.matmul_bias_rowapply(&a, &b, Some(&bias), &mut out, m, k, n, &mut |row| {
+            for v in row.iter_mut() {
+                *v *= 0.5;
+            }
+        });
+        fast.axpy(1.25, &out, &mut y);
+        fast.add(&out, &y, &mut sum); // shared Exact elementwise entry
     }
-    assert_eq!(allocs, 0, "Fast-tier kernels allocated in steady state");
+    assert_eq!(
+        allocs.count() - before,
+        0,
+        "Fast-tier kernels allocated in steady state"
+    );
 }
 
 #[test]
 fn steady_state_shared_cache_predict_is_allocation_free_and_bounded() {
+    let allocs = Allocations::enroll();
     // The encoding memo moved out of the per-thread predictor into the
     // lock-sharded cache inside `ModelState`. The steady-state hit path
     // (read lock + copy) must stay allocation-free, the cache must not
@@ -475,14 +502,14 @@ fn steady_state_shared_cache_predict_is_allocation_free_and_bounded() {
         warm,
         "a second predictor must reuse the shared encodings, not re-insert"
     );
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocs.count();
     for _ in 0..10 {
         first.predict_batch(&state, &queries);
         second.predict_batch(&state, &queries);
     }
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let window = allocs.count() - before;
     assert_eq!(
-        allocs, 0,
+        window, 0,
         "steady-state shared-cache predict path must not allocate"
     );
     assert_eq!(state.encoding_cache_len(), warm, "cache must stay flat");

@@ -442,7 +442,8 @@ pub enum RequestSource {
 /// requested-vs-resolved signal the ROADMAP's silent-fallback fix calls
 /// for: `BELLAMY_KERNEL=fma` on a non-FMA CPU no longer vanishes into a
 /// quieter backend unnoticed — it is reported once on stderr and
-/// permanently here (surfaced through `BatcherStats` and the bench
+/// permanently here (surfaced through the `bellamy_kernel_info` and
+/// `bellamy_kernel_degraded` series of `Service::telemetry()` and the bench
 /// snapshots).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resolution {

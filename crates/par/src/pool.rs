@@ -49,16 +49,6 @@ impl ThreadPool {
     /// # Panics
     /// Panics if `threads == 0`.
     pub fn new(threads: usize) -> Self {
-        Self::named("bellamy-worker", threads)
-    }
-
-    /// Spawns a pool whose worker threads are named `<name>-<i>` — the name
-    /// shows up in debuggers and panic messages, which matters for
-    /// long-lived service threads (the serving loops in `bellamy-core`).
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn named(name: &str, threads: usize) -> Self {
         assert!(threads > 0, "a pool needs at least one worker");
         let (sender, receiver) = unbounded::<Job>();
         let pending = Arc::new(PendingCount {
@@ -70,7 +60,7 @@ impl ThreadPool {
                 let receiver = receiver.clone();
                 let pending = Arc::clone(&pending);
                 std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
+                    .name(format!("bellamy-worker-{i}"))
                     .spawn(move || {
                         while let Ok(job) = receiver.recv() {
                             // The guard decrements even when the job panics;
@@ -212,25 +202,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_rejected() {
         let _ = ThreadPool::new(0);
-    }
-
-    #[test]
-    fn named_pool_names_its_workers() {
-        let pool = ThreadPool::named("svc-test", 2);
-        let (tx, rx) = crossbeam::channel::unbounded();
-        for _ in 0..2 {
-            let tx = tx.clone();
-            pool.execute(move || {
-                tx.send(std::thread::current().name().map(str::to_string))
-                    .unwrap();
-            });
-        }
-        pool.wait_idle();
-        drop(tx);
-        for name in rx.iter() {
-            let name = name.expect("worker threads are named");
-            assert!(name.starts_with("svc-test-"), "unexpected name {name}");
-        }
     }
 
     #[test]

@@ -137,6 +137,19 @@ impl WorkTeam {
             panic!("a WorkTeam task panicked on a worker thread");
         }
     }
+
+    /// Runs `f` once on every thread of the team — each helper and the
+    /// calling thread — for per-thread setup such as enrolling the threads
+    /// in an instrumentation counter. Blocks until all calls complete.
+    pub fn broadcast<F: Fn() + Sync>(&self, f: F) {
+        // Each thread waits on its first index until all `threads` indices
+        // are claimed, so no thread can claim two.
+        let barrier = std::sync::Barrier::new(self.threads);
+        self.run(self.threads, |_| {
+            f();
+            barrier.wait();
+        });
+    }
 }
 
 impl Drop for WorkTeam {
@@ -209,6 +222,20 @@ fn helper_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn broadcast_runs_once_on_every_thread() {
+        for threads in [1, 3] {
+            let team = WorkTeam::new(threads);
+            let seen = Mutex::new(Vec::new());
+            team.broadcast(|| seen.lock().push(std::thread::current().id()));
+            let seen = seen.lock();
+            let distinct: std::collections::HashSet<_> = seen.iter().collect();
+            assert_eq!(seen.len(), threads, "one call per thread");
+            assert_eq!(distinct.len(), threads, "on distinct threads");
+            assert!(distinct.contains(&std::thread::current().id()));
+        }
+    }
 
     #[test]
     fn covers_every_index_exactly_once() {

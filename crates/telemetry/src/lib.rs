@@ -13,8 +13,8 @@
 //!    `bellamy_linalg::kernels`).
 //! 2. **A structured event log** — a bounded ring buffer ([`EventLog`],
 //!    process-global via [`events()`]) for *rare* events: kernel-tier
-//!    degradation, checkpoint quarantine, batcher degrade-to-direct, serving
-//!    loop panics/restarts, injected faults. Recording an event takes a
+//!    degradation, checkpoint quarantine, forward-pass panics caught on the
+//!    serve path, injected faults. Recording an event takes a
 //!    mutex and may allocate; none of these events fire on the hot path.
 //! 3. **Exporters** — [`TelemetrySnapshot`], a typed point-in-time read of
 //!    every metric, with JSON ([`TelemetrySnapshot::to_json`]) and
@@ -31,17 +31,12 @@
 //!
 //! | name | type | unit | emitted by |
 //! |------|------|------|-----------|
-//! | `bellamy_serve_queries_total` | counter | queries | core/serve (batcher) |
-//! | `bellamy_serve_batches_total` | counter | batches | core/serve |
-//! | `bellamy_serve_flushes_total{reason}` | counter | flushes | core/serve (`reason` ∈ capacity, timeout, quiesce, assist, shutdown) |
+//! | `bellamy_serve_queries_total` | counter | queries | core/serve (single queries served) |
 //! | `bellamy_serve_shed_total` | counter | queries | core/serve |
 //! | `bellamy_serve_deadline_expired_total` | counter | queries | core/serve |
 //! | `bellamy_serve_panics_total` | counter | panics | core/serve |
-//! | `bellamy_serve_restarts_total` | counter | restarts | core/serve |
-//! | `bellamy_serve_queue_depth` | gauge | queries | core/serve (admission in-flight count) |
-//! | `bellamy_serve_submit_latency_seconds` | histogram | seconds | core/serve (submit → response, sampled 1-in-8) |
-//! | `bellamy_serve_flush_latency_seconds` | histogram | seconds | core/serve (per-batch forward pass) |
-//! | `bellamy_serve_batch_size` | histogram | queries | core/serve (claimed batch sizes) |
+//! | `bellamy_serve_inflight` | gauge | queries | core/serve (admission in-flight count) |
+//! | `bellamy_serve_submit_latency_seconds` | histogram | seconds | core/serve (admission → return, sampled 1-in-8) |
 //! | `bellamy_hub_memory_recalls_total` | counter | recalls | core/hub |
 //! | `bellamy_hub_disk_recalls_total` | counter | recalls | core/hub |
 //! | `bellamy_hub_pretrains_total` | counter | trainings | core/hub |
@@ -59,14 +54,14 @@
 //!
 //! # Event kinds
 //!
-//! See [`event_kind`]: `kernel.degraded`, `hub.quarantine`, `serve.degraded`,
-//! `serve.panic`, `serve.restart`, `fault.injected`.
+//! See [`event_kind`]: `kernel.degraded`, `hub.quarantine`, `serve.panic`,
+//! `fault.injected`.
 //!
 //! # Timing toggle
 //!
 //! [`set_timing_enabled`] gates only the *supplemental latency timing* added
-//! by this crate (the `Instant::now()` pair + histogram record on the submit
-//! path — itself gated behind a 1-in-8 [`Sampler`], because a clock read
+//! by this crate (the `Instant::now()` pair + histogram record on the
+//! single-query predict path — itself gated behind a 1-in-8 [`Sampler`], because a clock read
 //! costs more than the whole record path). Counters are never gated: they
 //! are the single source of truth behind `BatcherStats`/`HubStats`. The
 //! bench harness uses the toggle to measure instrumented-vs-uninstrumented

@@ -427,11 +427,11 @@ mod tests {
             "bellamy_serve_queries_total",
             vec![("model", "sgd".to_string())],
             "queries",
-            "Queries served through the batcher.",
+            "Single queries served.",
             42,
         );
         snap.push_gauge(
-            "bellamy_serve_queue_depth",
+            "bellamy_serve_inflight",
             vec![("model", "sgd".to_string())],
             "queries",
             "In-flight queries.",
@@ -452,8 +452,8 @@ mod tests {
         snap.set_events(vec![Event {
             seq: 0,
             elapsed_us: 5,
-            kind: event_kind::BATCHER_DEGRADED,
-            detail: "panic budget \"exceeded\"".to_string(),
+            kind: event_kind::SERVE_PANIC,
+            detail: "forward pass \"panicked\"".to_string(),
         }]);
         snap
     }
@@ -470,7 +470,7 @@ mod tests {
             snap.counter_with("bellamy_serve_queries_total", "model", "other"),
             None
         );
-        assert_eq!(snap.gauge("bellamy_serve_queue_depth"), Some(3));
+        assert_eq!(snap.gauge("bellamy_serve_inflight"), Some(3));
         let h = snap
             .histogram("bellamy_serve_submit_latency_seconds")
             .unwrap();
@@ -492,7 +492,7 @@ mod tests {
         assert!(json.contains("\"type\": \"histogram\""));
         assert!(json.contains("\"count\": 10"));
         // The quoted word inside the event detail must be escaped.
-        assert!(json.contains("panic budget \\\"exceeded\\\""));
+        assert!(json.contains("forward pass \\\"panicked\\\""));
     }
 
     #[test]
@@ -500,7 +500,7 @@ mod tests {
         let text = sample_snapshot().to_prometheus();
         assert!(text.contains("# HELP bellamy_serve_queries_total"));
         assert!(text.contains("# TYPE bellamy_serve_queries_total counter"));
-        assert!(text.contains("# TYPE bellamy_serve_queue_depth gauge"));
+        assert!(text.contains("# TYPE bellamy_serve_inflight gauge"));
         assert!(text.contains("# TYPE bellamy_serve_submit_latency_seconds histogram"));
         assert!(text.contains("bellamy_serve_queries_total{model=\"sgd\"} 42"));
         assert!(text.contains("bellamy_serve_submit_latency_seconds_count{model=\"sgd\"} 10"));

@@ -8,7 +8,8 @@
 //! 3. **Fine-tune** through the service on a handful of runs from a *new*
 //!    context (the descendant records its parent for provenance).
 //! 4. **Serve**: predict runtimes at unseen scale-outs through the client —
-//!    single queries are micro-batched across all concurrent callers.
+//!    each single query runs on the calling thread behind the model's
+//!    shared admission window.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -112,8 +113,8 @@ fn main() {
             .map(|r| r.runtime_s)
             .collect();
         let actual_mean = actual.iter().sum::<f64>() / actual.len() as f64;
-        // Single queries route through the cross-caller micro-batcher.
-        let predicted = tuned.predict(x as f64, &props).expect("service is live");
+        // A single query, predicted on this thread.
+        let predicted = tuned.predict(x as f64, &props).expect("admitted");
         println!(
             "{:<10} {:>10.1}s {:>10.1}s {:>7.1}%",
             x,
@@ -123,8 +124,5 @@ fn main() {
         );
     }
     let stats = tuned.batcher_stats();
-    println!(
-        "\n(served {} queries in {} micro-batches)",
-        stats.queries, stats.batches
-    );
+    println!("\n(served {} queries, shed {})", stats.queries, stats.shed);
 }
